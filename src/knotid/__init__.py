@@ -12,8 +12,6 @@ trace verification, and a CLI for experiment sweeps.
 from .adversary import (
     Backbone,
     Schedule,
-    UniformityReport,
-    check_primary_uniform,
     gen_backbone,
     gen_computation,
     insert_noncomm_states,

@@ -1,4 +1,4 @@
-"""Schedule generators and adversary-level oracles.
+"""Schedule generators and the schedule file format.
 
 A schedule is a finite prefix of a computation: an ordered sequence of state
 graphs. State indices (and hence edge stamps and output rounds) are 1-based,
@@ -13,10 +13,10 @@ protocol's causally-chained complexity bound.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
-from .engine import run
 from .graph import (
     Knot,
     ObservationGraph,
@@ -81,29 +81,41 @@ def save_schedule(s: Schedule, path: str) -> None:
                 fh.write(f"{e.src} {e.dst} {e.state}\n")
 
 
+_HEADER = re.compile(
+    r"n=([0-9]+) horizon=([0-9]+) seed=(-?[0-9]+) params=(\S*)")
+
+
 def load_schedule(path: str) -> Schedule:
+    """Read a file written by ``save_schedule``. Any defect raises ValueError
+    naming ``path:line``: a header not in exactly that form (so also an
+    unknown, repeated, missing or negative field), fewer than two processes,
+    or an edge line that is malformed, names a process outside 0..n-1, is
+    stamped outside the horizon or repeats an earlier line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        fields = {}
-        for token in header.split():
-            if "=" not in token:
-                raise ValueError(f"malformed schedule header: {header!r}")
-            key, value = token.split("=", 1)
-            fields[key] = value
-        try:
-            n = int(fields["n"])
-            horizon = int(fields["horizon"])
-            seed = int(fields["seed"])
-            params = fields["params"]
-        except KeyError as exc:
-            raise ValueError(f"schedule header missing {exc}") from exc
-        buckets: list = [[] for _ in range(horizon)]
-        for e in parse_edge_lines(fh):
+        match = _HEADER.fullmatch(header)
+        if match is None:
+            raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
+                             "horizon=<int> seed=<int> params=<text>'")
+        n, horizon, seed = (int(g) for g in match.groups()[:3])
+        if n < 2:
+            raise ValueError(f"{path}:1: need at least two processes, "
+                             f"got n={n}")
+        buckets: list = [set() for _ in range(horizon)]
+        for lineno, e in parse_edge_lines(fh, path, first_line=2):
             if not 1 <= e.state <= horizon:
-                raise ValueError(f"edge {e} stamped outside the horizon")
-            buckets[e.state - 1].append(e)
+                problem = f"stamped outside 1..{horizon}"
+            elif e.src >= n or e.dst >= n:
+                problem = f"names a process outside 0..{n - 1}"
+            elif e in buckets[e.state - 1]:
+                problem = "repeats an earlier line"
+            else:
+                buckets[e.state - 1].add(e)
+                continue
+            raise ValueError(
+                f"{path}:{lineno}: edge {e.src} {e.dst} {e.state} {problem}")
     return Schedule(n=n, states=tuple(frozenset(b) for b in buckets),
-                    params=params, seed=seed)
+                    params=match.group(4), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -218,46 +230,3 @@ def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
             for e in s.states[original - 1]))
     states.extend([frozenset()] * counts.get(s.horizon + 1, 0))
     return Schedule(n=s.n, states=tuple(states), params=s.params, seed=s.seed)
-
-
-@dataclass
-class UniformityReport:
-    """Outcome of the omniscient primary-uniformity check on one schedule."""
-
-    uniform: bool
-    per_process: dict          # pid -> (Knot, round) or None
-    globally_observable: dict  # every logged knot -> seen by all processes?
-
-    def to_jsonable(self) -> dict:
-        per_process = {
-            str(pid): (None if entry is None
-                       else {"knot": list(entry[0].members), "round": entry[1]})
-            for pid, entry in sorted(self.per_process.items())}
-        observability = [
-            {"knot": list(k.members), "globally_observable": flag}
-            for k, flag in sorted(self.globally_observable.items(),
-                                  key=lambda item: item[0].members)]
-        return {"uniform": self.uniform, "per_process": per_process,
-                "globally_observable": observability}
-
-
-def check_primary_uniform(s: Schedule, min_knot_size: int = 2) -> UniformityReport:
-    """Run the whole protocol as an omniscient oracle over one schedule.
-
-    Uniform means every process decided within the horizon and all primary
-    knots are the same set. Also reports, for every knot that showed up in
-    any process's log, whether every process eventually saw it.
-    """
-    trace = run(s, min_knot_size=min_knot_size)
-    per_process = dict(trace.outputs)
-    primaries = [entry for entry in per_process.values() if entry is not None]
-    uniform = (len(primaries) == s.n
-               and len({knot for knot, _ in primaries}) <= 1)
-    logged_knots = {k for log in trace.observation_logs.values()
-                    for k, _ in log}
-    globally_observable = {
-        k: all(any(k == seen for seen, _ in trace.observation_logs[pid])
-               for pid in range(s.n))
-        for k in logged_knots}
-    return UniformityReport(uniform=uniform, per_process=per_process,
-                            globally_observable=globally_observable)

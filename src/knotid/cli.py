@@ -1,4 +1,9 @@
-"""Command line harness: generate, run, sweep, verify, replay.
+"""Command line harness: gen, run, sweep and verify.
+
+``run`` executes one schedule, from a file or generated from flags, and
+writes its trace, round metrics and diagnostics; ``verify`` runs a schedule
+file and reports primary uniformity, the same verdict rendered per process
+and per knot.
 
 Sweeps reproduce the experiment grid (cycle size x edges per round x seed)
 and emit a single CSV with one row per cell plus one mean row per
@@ -22,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .adversary import (
     Schedule,
-    check_primary_uniform,
     gen_backbone,
     gen_computation,
     load_schedule,
@@ -30,6 +34,7 @@ from .adversary import (
     worst_case_schedule,
 )
 from .engine import (
+    fmt_knot,
     longest_output_time,
     run,
     verify,
@@ -285,6 +290,9 @@ def write_sweep_csv(cfg: ExperimentConfig, cells: Sequence[CellResult],
 
 def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     if getattr(args, "schedule", None):
+        if args.worst_case is not None:
+            raise ConfigError("--worst-case generates a schedule; it cannot "
+                              "be combined with a schedule file")
         return load_schedule(args.schedule)
     if args.worst_case is not None:
         if args.worst_case < 2:
@@ -321,12 +329,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute(schedule: Schedule, min_knot_size: int, out_prefix: str) -> int:
-    trace = run(schedule, min_knot_size=min_knot_size)
+def cmd_run(args: argparse.Namespace) -> int:
+    schedule = _schedule_from_args(args)
+    trace = run(schedule, min_knot_size=args.min_knot_size)
     verdict = verify(trace)
-    write_trace_csv(trace, f"{out_prefix}_trace.csv")
-    write_round_metrics_csv(trace, f"{out_prefix}_rounds.csv")
-    write_diagnostics_jsonl(verdict, f"{out_prefix}_diagnostics.jsonl")
+    write_trace_csv(trace, f"{args.out}_trace.csv")
+    write_round_metrics_csv(trace, f"{args.out}_rounds.csv")
+    write_diagnostics_jsonl(verdict, f"{args.out}_diagnostics.jsonl")
     longest = longest_output_time(trace)
     print(f"processes: {schedule.n}  rounds: {schedule.horizon}")
     print("longest output round: "
@@ -334,42 +343,30 @@ def _execute(schedule: Schedule, min_knot_size: int, out_prefix: str) -> int:
     print(f"agreement: {_bool_str(verdict.agreement)}")
     print(f"termination: {_bool_str(verdict.termination)}")
     if verdict.knot is not None:
-        print("knot: " + "|".join(str(m) for m in verdict.knot.members))
+        print(f"knot: {fmt_knot(verdict.knot)}")
     print(f"diagnostics: {len(verdict.diagnostics)}")
-    return 0 if verdict.agreement and verdict.termination else 1
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    schedule = _schedule_from_args(args)
-    return _execute(schedule, args.min_knot_size, args.out)
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    schedule = load_schedule(args.schedule)
-    return _execute(schedule, args.min_knot_size, args.out)
+    return 0 if verdict.uniform else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     schedule = load_schedule(args.schedule)
-    report = check_primary_uniform(schedule, min_knot_size=args.min_knot_size)
-    print(f"uniform: {_bool_str(report.uniform)}")
-    for pid in sorted(report.per_process):
-        entry = report.per_process[pid]
+    verdict = verify(run(schedule, min_knot_size=args.min_knot_size))
+    print(f"uniform: {_bool_str(verdict.uniform)}")
+    for pid in sorted(verdict.per_process):
+        entry = verdict.per_process[pid]
         if entry is None:
             print(f"process {pid}: no primary knot within horizon")
         else:
-            knot, round_index = entry
-            members = "|".join(str(m) for m in knot.members)
-            print(f"process {pid}: primary {members} at round {round_index}")
-    for knot in sorted(report.globally_observable, key=lambda k: k.members):
-        members = "|".join(str(m) for m in knot.members)
-        flag = _bool_str(report.globally_observable[knot])
-        print(f"knot {members}: globally observable {flag}")
+            print(f"process {pid}: primary {fmt_knot(entry[0])} "
+                  f"at round {entry[1]}")
+    for knot in sorted(verdict.globally_observable, key=lambda k: k.members):
+        flag = _bool_str(verdict.globally_observable[knot])
+        print(f"knot {fmt_knot(knot)}: globally observable {flag}")
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_jsonable(), fh, indent=2, sort_keys=True)
+            json.dump(verdict.to_jsonable(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0 if report.uniform else 1
+    return 0 if verdict.uniform else 1
 
 
 def _default_workers() -> Optional[str]:
@@ -417,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", default="run",
                       help="output prefix for trace files (default 'run')")
     runp.set_defaults(func=cmd_run)
-
-    replay = sub.add_parser("replay", help="re-run a saved schedule file")
-    replay.add_argument("schedule")
-    replay.add_argument("--min-knot-size", type=int, default=2)
-    replay.add_argument("--out", default="replay", help="output prefix")
-    replay.set_defaults(func=cmd_replay)
 
     verifyp = sub.add_parser(
         "verify", help="report primary uniformity of a schedule file")

@@ -55,12 +55,38 @@ class Trace:
 
 @dataclass
 class Verdict:
-    """Did a trace satisfy agreement and termination, and if not, why not."""
+    """Did a trace satisfy agreement and termination, and if not, why not.
+
+    ``per_process`` is the trace's outputs, ``globally_observable`` maps every
+    logged knot to whether every process logged it, and each diagnostic is a
+    ``{"kind", "process", "round", "knot"}`` record with ``None`` where its
+    kind has no such field.
+    """
 
     agreement: bool
     termination: bool
     knot: Optional[Knot]
+    per_process: dict = field(default_factory=dict)
+    globally_observable: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+
+    @property
+    def uniform(self) -> bool:
+        """Every process decided, and all on the same primary knot."""
+        return self.agreement and self.termination
+
+    def to_jsonable(self) -> dict:
+        per_process = {
+            str(pid): (None if entry is None
+                       else {"knot": list(entry[0].members), "round": entry[1]})
+            for pid, entry in sorted(self.per_process.items())}
+        observability = [
+            {"knot": list(k.members), "globally_observable": flag}
+            for k, flag in sorted(self.globally_observable.items(),
+                                  key=lambda item: item[0].members)]
+        return {"uniform": self.uniform, "per_process": per_process,
+                "globally_observable": observability,
+                "diagnostics": self.diagnostics}
 
 
 class _Proc:
@@ -211,41 +237,47 @@ def longest_output_time(t: Trace) -> Optional[int]:
     return max(rounds) if rounds else None
 
 
-def _fmt_knot(k: Knot) -> str:
+def fmt_knot(k: Knot) -> str:
+    """Members joined by ``|``, as in the trace CSV."""
     return "|".join(str(m) for m in k.members)
+
+
+def _record(kind: str, process: Optional[int] = None,
+            round_index: Optional[int] = None,
+            knot: Optional[Knot] = None) -> dict:
+    return {"kind": kind, "process": process, "round": round_index,
+            "knot": None if knot is None else list(knot.members)}
 
 
 def verify(t: Trace) -> Verdict:
     """Check agreement (all outputs are the same set) and termination
-    (everyone produced an output), with diagnostics for primary ties,
-    missing outputs, and output knots not seen by every process."""
+    (everyone produced an output), and whether every logged knot reached
+    every process. Diagnostics name primary ties, output knots some process
+    never logged, and processes that never decided."""
     present = [(pid, entry) for pid, entry in sorted(t.outputs.items())
                if entry is not None]
     distinct = {knot for _, (knot, _) in present}
     agreement = len(distinct) <= 1
     termination = len(present) == t.n
     knot = next(iter(distinct)) if agreement and distinct else None
+    seen = {pid: {k for k, _ in t.observation_logs[pid]} for pid in range(t.n)}
+    globally_observable = {k: all(k in log for log in seen.values())
+                           for k in set().union(*seen.values())}
 
-    diagnostics: List[str] = []
+    diagnostics: List[dict] = []
     for pid, (out_knot, out_round) in present:
         first_observed = sum(1 for _, r in t.observation_logs[pid]
                              if r == out_round)
         if first_observed > 1:
-            diagnostics.append(
-                f"primary tie at process {pid}: {first_observed} knots first "
-                f"observed together in round {out_round}")
+            diagnostics.append(_record("primary_tie", pid, out_round, out_knot))
     for out_knot in sorted(distinct, key=lambda k: k.members):
-        unseen = [pid for pid in range(t.n)
-                  if all(k != out_knot for k, _ in t.observation_logs[pid])]
-        if unseen:
-            diagnostics.append(
-                f"output knot {_fmt_knot(out_knot)} is not globally "
-                f"observable: never seen by processes {unseen}")
-    for pid in range(t.n):
-        if t.outputs.get(pid) is None:
-            diagnostics.append(
-                f"process {pid} produced no output within the horizon")
+        diagnostics.extend(_record("unobserved_knot", pid, knot=out_knot)
+                           for pid in range(t.n) if out_knot not in seen[pid])
+    diagnostics.extend(_record("undecided", pid) for pid in range(t.n)
+                       if t.outputs.get(pid) is None)
     return Verdict(agreement=agreement, termination=termination, knot=knot,
+                   per_process=dict(t.outputs),
+                   globally_observable=globally_observable,
                    diagnostics=diagnostics)
 
 
@@ -260,7 +292,7 @@ def write_trace_csv(t: Trace, path: str) -> None:
                 writer.writerow([pid, "", ""])
             else:
                 knot, round_index = entry
-                writer.writerow([pid, round_index, _fmt_knot(knot)])
+                writer.writerow([pid, round_index, fmt_knot(knot)])
 
 
 def write_round_metrics_csv(t: Trace, path: str) -> None:
@@ -274,7 +306,7 @@ def write_round_metrics_csv(t: Trace, path: str) -> None:
 
 
 def write_diagnostics_jsonl(verdict: Verdict, path: str) -> None:
-    """One JSON record per diagnostic string."""
+    """One JSON line per diagnostic record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in verdict.diagnostics:
-            fh.write(json.dumps({"diagnostic": line}) + "\n")
+        for record in verdict.diagnostics:
+            fh.write(json.dumps(record) + "\n")

@@ -16,7 +16,7 @@ so the two can cross-validate each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Tuple
 
 ProcessId = int
 
@@ -78,19 +78,26 @@ class ObservationGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "ObservationGraph":
-        return cls.from_edges(parse_edge_lines(text.splitlines()))
+        return cls.from_edges(
+            e for _, e in parse_edge_lines(text.splitlines()))
 
 
-def parse_edge_lines(lines: Iterable[str]) -> Iterator[TemporalEdge]:
-    for raw in lines:
-        line = raw.strip()
-        if not line:
+def parse_edge_lines(lines: Iterable[str], source: str = "<text>",
+                     first_line: int = 1) -> Iterator[Tuple[int, TemporalEdge]]:
+    """Yield ``(line number, edge)`` for every non-blank ``src dst state``
+    line, numbering from ``first_line``. A malformed line raises ValueError
+    naming ``source:line``."""
+    for lineno, raw in enumerate(lines, start=first_line):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed edge line: {raw!r}")
-        src, dst, state = (int(p) for p in parts)
-        yield TemporalEdge(src, dst, state)
+        try:
+            src, dst, state = (int(p) for p in parts)
+            edge = TemporalEdge(src, dst, state)
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: malformed edge line "
+                             f"{raw.strip()!r}: {exc}") from exc
+        yield lineno, edge
 
 
 @dataclass(frozen=True)

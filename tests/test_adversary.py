@@ -6,7 +6,6 @@ from knotid import (
     Knot,
     Schedule,
     TemporalEdge,
-    check_primary_uniform,
     computation_graph,
     find_knots,
     gen_backbone,
@@ -17,6 +16,7 @@ from knotid import (
     run,
     save_schedule,
     schedule_from_pairs,
+    verify,
     worst_case_schedule,
 )
 from util import disjoint_two_cycles_schedule
@@ -206,33 +206,34 @@ class TestInsertNoncommStates:
 
 
 class TestCheckPrimaryUniform:
+    """Primary uniformity as ``verify`` reports it over a whole run."""
+
     def test_worst_case_is_uniform(self):
         for n in (2, 5, 9):
-            report = check_primary_uniform(worst_case_schedule(n))
-            assert report.uniform
+            verdict = verify(run(worst_case_schedule(n)))
+            assert verdict.uniform
             full = Knot(range(n))
             assert all(entry[0] == full
-                       for entry in report.per_process.values())
-            assert report.globally_observable == {full: True}
+                       for entry in verdict.per_process.values())
+            assert verdict.globally_observable == {full: True}
 
     def test_disjoint_cycles_are_not_uniform(self):
-        report = check_primary_uniform(disjoint_two_cycles_schedule())
-        assert not report.uniform
-        assert report.per_process[0] == (Knot((0, 1)), 2)
-        assert report.per_process[2] == (Knot((2, 3)), 4)
-        assert report.per_process[1] is None
-        assert report.globally_observable[Knot((0, 1))] is False
+        verdict = verify(run(disjoint_two_cycles_schedule()))
+        assert not verdict.uniform
+        assert verdict.per_process[0] == (Knot((0, 1)), 2)
+        assert verdict.per_process[2] == (Knot((2, 3)), 4)
+        assert verdict.per_process[1] is None
+        assert verdict.globally_observable[Knot((0, 1))] is False
 
     def test_generated_computation_is_uniform(self):
         b = gen_backbone(30, 6, 8)
         s = gen_computation(b, 3, 1500, 8)
-        report = check_primary_uniform(s)
-        assert report.uniform
-        assert {entry[0] for entry in report.per_process.values()} \
+        verdict = verify(run(s))
+        assert verdict.uniform
+        assert {entry[0] for entry in verdict.per_process.values()} \
             == {Knot(b.cycle)}
 
     def test_report_serializes(self):
-        report = check_primary_uniform(worst_case_schedule(3))
-        blob = report.to_jsonable()
+        blob = verify(run(worst_case_schedule(3))).to_jsonable()
         assert blob["uniform"] is True
         assert blob["per_process"]["0"]["knot"] == [0, 1, 2]

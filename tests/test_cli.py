@@ -89,16 +89,39 @@ class TestGenRun:
         assert (tmp_path / "t_rounds.csv").exists()
         assert (tmp_path / "t_diagnostics.jsonl").exists()
 
-    def test_replay_matches_run(self, tmp_path):
-        path = tmp_path / "wc.txt"
-        save_schedule(worst_case_schedule(6), str(path))
-        main(["run", str(path), "--out", str(tmp_path / "one")])
-        main(["replay", str(path), "--out", str(tmp_path / "two")])
-        assert (tmp_path / "one_trace.csv").read_bytes() \
-            == (tmp_path / "two_trace.csv").read_bytes()
-
     def test_missing_schedule_file_is_usage_error(self, tmp_path):
-        assert main(["replay", str(tmp_path / "nope.txt")]) == 2
+        assert main(["run", str(tmp_path / "nope.txt"),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_schedule_file_with_worst_case_is_usage_error(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "wc.txt"
+        save_schedule(worst_case_schedule(4), str(path))
+        code = main(["run", str(path), "--worst-case", "6",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--worst-case" in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("n=3 horizon=two seed=0 params=x\n", 1),
+        ("n=3 horizon=1 seed=0 params=x colour=red\n", 1),
+        ("n=3 horizon=-1 seed=0 params=x\n", 1),
+        ("n=0 horizon=0 seed=0 params=x\n", 1),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 x 2\n", 3),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n\n2 2 2\n", 4),
+        ("n=3 horizon=2 seed=0 params=x\n0 3 1\n", 2),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 3\n", 2),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n1 2 2\n0 1 1\n", 4),
+    ], ids=["non-integer-horizon", "unknown-key", "negative-horizon",
+            "too-few-processes", "non-integer-field", "self-loop",
+            "foreign-process", "stamp-past-horizon", "duplicate-edge"])
+    def test_bad_schedule_file_is_usage_error(self, tmp_path, capsys,
+                                              text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{path}:{line}: " in capsys.readouterr().err
 
     def test_bad_generator_flags_are_usage_error(self, tmp_path):
         code = main(["run", "--n", "5", "--cycle-size", "9",
@@ -123,6 +146,17 @@ class TestVerifyCmd:
         path = tmp_path / "pair.txt"
         save_schedule(disjoint_two_cycles_schedule(), str(path))
         assert main(["verify", str(path)]) == 1
+
+    def test_diagnostics_match_run(self, tmp_path):
+        path = tmp_path / "pair.txt"
+        save_schedule(disjoint_two_cycles_schedule(), str(path))
+        report = tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert main(["verify", str(path), "--json", str(report)]) == 1
+        lines = (tmp_path / "r_diagnostics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert records
+        assert records == json.loads(report.read_text())["diagnostics"]
 
     def test_trailing_padding_keeps_the_report(self, tmp_path):
         from knotid import insert_noncomm_states

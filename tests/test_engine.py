@@ -1,4 +1,8 @@
+import json
 import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knotid import (
     Knot,
@@ -110,6 +114,46 @@ class TestRun:
             == [len(state) for state in churn_schedule.states]
 
 
+@st.composite
+def relabelled_schedules(draw):
+    """A small schedule plus a permutation of its process ids."""
+    n = draw(st.integers(2, 6))
+    link = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
+        .filter(lambda pair: pair[0] != pair[1])
+    rounds = draw(st.lists(st.lists(link, min_size=1, max_size=n),
+                           min_size=4, max_size=12))
+    return n, rounds, draw(st.permutations(range(n)))
+
+
+class TestRelabelling:
+    @settings(max_examples=80, deadline=None)
+    @given(relabelled_schedules())
+    @example((5, [[(1, 2)], [(2, 1)], [(3, 4)], [(4, 3)], [(1, 0), (3, 0)]],
+              [4, 3, 2, 1, 0]))  # a tie the relabelling breaks the other way
+    def test_relabelling_permutes_the_run(self, case):
+        n, rounds, perm = case
+        base = run(schedule_from_pairs(n, rounds), check_invariants=True)
+        moved = run(schedule_from_pairs(
+            n, [[(perm[a], perm[b]) for a, b in pairs] for pairs in rounds]),
+            check_invariants=True)
+
+        def relabel(knot):
+            return Knot(perm[m] for m in knot.members)
+
+        for pid in range(n):
+            assert {(relabel(k), r) for k, r in base.observation_logs[pid]} \
+                == set(moved.observation_logs[perm[pid]])
+        v_base, v_moved = verify(base), verify(moved)
+        assert (v_base.agreement, v_base.termination) \
+            == (v_moved.agreement, v_moved.termination)
+        # the same-round tie-break compares member ids, so only tie-free
+        # runs must decide the relabelled knot
+        if all(d["kind"] != "primary_tie" for d in v_base.diagnostics):
+            for pid, entry in base.outputs.items():
+                assert moved.outputs[perm[pid]] == (
+                    None if entry is None else (relabel(entry[0]), entry[1]))
+
+
 class TestVerify:
     def test_uniform_run_passes(self):
         t = run(worst_case_schedule(5))
@@ -123,14 +167,19 @@ class TestVerify:
         assert not v.agreement
         assert not v.termination
         assert v.knot is None
-        assert any("not globally observable" in d for d in v.diagnostics)
+        unobserved = [(d["knot"], d["process"], d["round"])
+                      for d in v.diagnostics if d["kind"] == "unobserved_knot"]
+        assert unobserved == [([0, 1], 1, None), ([0, 1], 2, None),
+                              ([0, 1], 3, None), ([2, 3], 0, None),
+                              ([2, 3], 1, None), ([2, 3], 3, None)]
 
     def test_silent_process_fails_termination(self):
         # process 3 exists but never gets a link
         s = schedule_from_pairs(4, [[(0, 1)], [(1, 2)], [(2, 0)], [(0, 1)]])
         v = verify(run(s))
         assert not v.termination
-        assert any("process 3 produced no output" in d for d in v.diagnostics)
+        assert {"kind": "undecided", "process": 3, "round": None,
+                "knot": None} in v.diagnostics
 
     def test_same_round_tie_is_reported(self):
         # both completed 2-cycles reach process 0 in the same round, on
@@ -145,7 +194,8 @@ class TestVerify:
         assert {k for k, _ in t.observation_logs[0]} \
             == {Knot((1, 2)), Knot((3, 4))}
         v = verify(t)
-        assert any(d.startswith("primary tie at process 0") for d in v.diagnostics)
+        assert {"kind": "primary_tie", "process": 0, "round": 5,
+                "knot": [1, 2]} in v.diagnostics
 
 
 class TestTraceFiles:
@@ -174,13 +224,12 @@ class TestTraceFiles:
         assert len(lines) == 1 + churn_schedule.horizon
 
     def test_diagnostics_jsonl(self, tmp_path):
-        import json
         v = verify(run(disjoint_two_cycles_schedule()))
         path = tmp_path / "diag.jsonl"
         write_diagnostics_jsonl(v, str(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == len(v.diagnostics)
-        assert all("diagnostic" in r for r in records)
+        assert records == v.diagnostics
+        assert {r["kind"] for r in records} == {"unobserved_knot", "undecided"}
 
     def test_writers_are_byte_identical_across_runs(self, tmp_path, churn_schedule):
         paths = []

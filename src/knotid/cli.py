@@ -288,34 +288,45 @@ def write_sweep_csv(cfg: ExperimentConfig, cells: Sequence[CellResult],
             ]) + "\n")
 
 
+# Generator flag -> its default, applied only when a schedule is generated.
+_GENERATOR_DEFAULTS = {"n": 100, "cycle_size": 10, "edges_per_round": 5,
+                       "horizon": 6000, "seed": 0}
+
+
 def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     if getattr(args, "schedule", None):
-        if args.worst_case is not None:
-            raise ConfigError("--worst-case generates a schedule; it cannot "
+        given = ["--" + key.replace("_", "-")
+                 for key in (*_GENERATOR_DEFAULTS, "worst_case")
+                 if getattr(args, key) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)}: generator flags cannot "
                               "be combined with a schedule file")
         return load_schedule(args.schedule)
     if args.worst_case is not None:
         if args.worst_case < 2:
             raise ConfigError("--worst-case needs at least 2 processes")
         return worst_case_schedule(args.worst_case)
-    if not 2 <= args.cycle_size <= args.n:
-        raise ConfigError(f"cycle size {args.cycle_size} outside 2..{args.n}")
-    rng = Random(args.seed)
-    backbone = gen_backbone(args.n, args.cycle_size, rng.getrandbits(64))
-    return gen_computation(backbone, args.edges_per_round, args.horizon,
+    n, cycle_size, edges_per_round, horizon, seed = (
+        default if getattr(args, key) is None else getattr(args, key)
+        for key, default in _GENERATOR_DEFAULTS.items())
+    if not 2 <= cycle_size <= n:
+        raise ConfigError(f"cycle size {cycle_size} outside 2..{n}")
+    rng = Random(seed)
+    backbone = gen_backbone(n, cycle_size, rng.getrandbits(64))
+    return gen_computation(backbone, edges_per_round, horizon,
                            rng.getrandbits(64))
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=100,
+    parser.add_argument("--n", type=int, default=None,
                         help="process count (default 100)")
-    parser.add_argument("--cycle-size", type=int, default=10,
+    parser.add_argument("--cycle-size", type=int, default=None,
                         help="backbone cycle size (default 10)")
-    parser.add_argument("--edges-per-round", type=int, default=5,
+    parser.add_argument("--edges-per-round", type=int, default=None,
                         help="backbone edges appearing per round (default 5)")
-    parser.add_argument("--horizon", type=int, default=6000,
+    parser.add_argument("--horizon", type=int, default=None,
                         help="number of rounds to generate (default 6000)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=None,
                         help="generator seed (default 0)")
     parser.add_argument("--worst-case", type=int, metavar="N", default=None,
                         help="emit the deterministic 2N-1 round worst case "

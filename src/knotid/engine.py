@@ -7,16 +7,24 @@ themselves), then checks its graph for knots. All sends of a round are
 derived from end-of-previous-round state, so receive order within a round
 cannot matter and the whole run is deterministic.
 
-The hot loop does not rebuild graph values. Each process keeps its
-observation set as a deduplicated append-only journal, and each receiver
-remembers how much of every sender's journal it has already merged, so one
-(sender, receiver) pair pays for each edge at most once over the whole run
-instead of re-scanning near-identical sets every round. Knot detection runs
-only when the receiver's projected arc set actually grew, which is the only
-thing that can change the knot set. ``check_invariants=True`` runs the plain
-``protocol.on_state`` state machine alongside and asserts both agree round
-by round (and that every local graph stays inside the computation graph);
-use it for small schedules.
+The hot loop keeps what each process knows as two bit masks in Python ints.
+Knot detection ignores stamps, and projecting a union of temporal edges onto
+static arcs gives the union of their projections, so all detection needs is
+``known_arcs[p]``, a mask over dense arc ids. Ids go to ``(src, dst)`` pairs
+in first-seen order, so the mask is as wide as the schedule's distinct arcs,
+not n².
+``known_edges[p]`` is a mask over temporal-edge ids in the order the loop
+visits edges; it feeds only the payload metric and the reference checker. A
+receipt is ``known[dst] |= pre[src] | bit(link)`` where ``pre`` is the list
+of masks copied before the round's merges: ints are immutable, so that copy
+is the whole snapshot. Each process's popcount of ``known_edges`` is cached
+and refreshed only when it receives, so a round's payload costs one lookup
+per message. Knot detection runs only when a receiver's arc mask grew, the
+only thing that can change its knot set, over an adjacency extended from the
+new bits. ``check_invariants=True`` runs the plain ``protocol.on_state``
+state machine alongside and asserts both agree round by round (and that
+every local graph stays inside the computation graph); use it for small
+schedules.
 """
 
 from __future__ import annotations
@@ -89,92 +97,80 @@ class Verdict:
                 "diagnostics": self.diagnostics}
 
 
-class _Proc:
-    """Mutable per-process accumulator used by the fast engine loop."""
-
-    __slots__ = ("pid", "journal", "edge_set", "adjacency", "nodes",
-                 "merged_upto", "log", "logged", "output")
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.journal: list = []      # deduplicated, append-only merge order
-        self.edge_set: set = set()
-        self.adjacency: dict = {}    # projected static arcs
-        self.nodes: set = {pid}
-        self.merged_upto: dict = {}  # sender pid -> journal prefix consumed
-        self.log: list = []          # (Knot, round)
-        self.logged: set = set()
-        self.output = None
-
-    def absorb(self, edge: TemporalEdge) -> bool:
-        """Add one temporal edge; True when the projected arc set grew."""
-        if edge in self.edge_set:
-            return False
-        self.edge_set.add(edge)
-        self.journal.append(edge)
-        self.nodes.add(edge.src)
-        self.nodes.add(edge.dst)
-        outs = self.adjacency.setdefault(edge.src, set())
-        if edge.dst in outs:
-            return False
-        outs.add(edge.dst)
-        return True
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Trace:
     """Execute a schedule against one process state machine per process."""
     n = schedule.n
-    procs = [_Proc(pid) for pid in range(n)]
+    arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
+    arc_ends: List[tuple] = []       # arc id -> (src, dst)
+    edge_by_id: List[TemporalEdge] = []
+    known_arcs = [0] * n
+    known_edges = [0] * n
+    edge_count = [0] * n             # known_edges[p].bit_count()
+    adjacency: List[dict] = [{} for _ in range(n)]   # projected known arcs
+    nodes = [{pid} for pid in range(n)]
+    logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
+    outputs: list = [None] * n
     metrics: List[RoundMetric] = []
     checker = _ReferenceChecker(n, min_knot_size) if check_invariants else None
 
     for round_index, state in enumerate(schedule.states, start=1):
-        edges = sorted(state, key=lambda e: (e.dst, e.src))
-        snapshot_len = {}
-        for e in edges:
-            if e.src not in snapshot_len:
-                snapshot_len[e.src] = len(procs[e.src].journal)
-        payload_edges = sum(snapshot_len[e.src] for e in edges)
+        pre_arcs = known_arcs[:]
+        pre_edges = known_edges[:]
+        payload_edges = 0
+        for e in state:
+            src, dst = e.src, e.dst
+            arc = arc_ids.get((src, dst))
+            if arc is None:
+                arc = arc_ids[src, dst] = len(arc_ends)
+                arc_ends.append((src, dst))
+            known_arcs[dst] |= pre_arcs[src] | 1 << arc
+            known_edges[dst] |= pre_edges[src] | 1 << len(edge_by_id)
+            edge_by_id.append(e)
+            payload_edges += edge_count[src]
 
-        by_dst: Dict[int, list] = {}
-        for e in edges:
-            by_dst.setdefault(e.dst, []).append(e)
+        for dst in {e.dst for e in state}:
+            edge_count[dst] = known_edges[dst].bit_count()
+            new = known_arcs[dst] & ~pre_arcs[dst]
+            if not new:
+                continue
+            outs, seen = adjacency[dst], nodes[dst]
+            for arc in _bits(new):
+                src, to = arc_ends[arc]
+                outs.setdefault(src, set()).add(to)
+                seen.add(src)
+                seen.add(to)
+            log = logs[dst]
+            fresh = [k for k in knots_from_adjacency(sorted(seen), outs,
+                                                     min_knot_size)
+                     if k not in log]
+            if fresh:
+                for k in fresh:
+                    log[k] = round_index
+                if outputs[dst] is None:
+                    outputs[dst] = (primary_tie_break(fresh), round_index)
 
-        for dst in sorted(by_dst):
-            proc = procs[dst]
-            grew = False
-            for e in by_dst[dst]:
-                sender = procs[e.src]
-                start = proc.merged_upto.get(e.src, 0)
-                stop = snapshot_len[e.src]
-                if stop > start:
-                    journal = sender.journal
-                    for i in range(start, stop):
-                        grew |= proc.absorb(journal[i])
-                    proc.merged_upto[e.src] = stop
-                grew |= proc.absorb(e)
-            if grew:
-                found = knots_from_adjacency(sorted(proc.nodes),
-                                             proc.adjacency, min_knot_size)
-                fresh = [k for k in found if k not in proc.logged]
-                if fresh:
-                    for k in fresh:
-                        proc.logged.add(k)
-                        proc.log.append((k, round_index))
-                    if proc.output is None:
-                        proc.output = (primary_tie_break(fresh), round_index)
-
-        metrics.append(RoundMetric(round_index, len(edges), payload_edges))
+        metrics.append(RoundMetric(round_index, len(state), payload_edges))
         if checker is not None:
-            checker.after_round(round_index, state, procs)
+            checker.after_round(round_index, state, [
+                ({edge_by_id[i] for i in _bits(known_edges[pid])},
+                 tuple(logs[pid].items()), outputs[pid]) for pid in range(n)])
 
     return Trace(
         n=n,
         horizon=schedule.horizon,
         seed=schedule.seed,
         params=schedule.params,
-        outputs={p.pid: p.output for p in procs},
-        observation_logs={p.pid: tuple(p.log) for p in procs},
+        outputs=dict(enumerate(outputs)),
+        observation_logs={pid: tuple(log.items())
+                          for pid, log in enumerate(logs)},
         round_metrics=metrics,
     )
 
@@ -190,7 +186,8 @@ class _ReferenceChecker:
         self.union_edges: set = set()
         self.union_nodes: set = set()
 
-    def after_round(self, round_index: int, state, procs) -> None:
+    def after_round(self, round_index: int, state, fast: list) -> None:
+        """``fast[pid]`` is the loop's (edge set, log, output) for pid."""
         messages = {e.src: make_message(self.states[e.src]) for e in state}
         by_dst: Dict[int, list] = {}
         for e in state:
@@ -206,14 +203,14 @@ class _ReferenceChecker:
             self.union_nodes.add(e.dst)
 
         for pid, ref in self.states.items():
-            fast = procs[pid]
-            if ref.lg.edges != fast.edge_set:
+            edges, log, output = fast[pid]
+            if ref.lg.edges != edges:
                 raise AssertionError(
                     f"round {round_index}: process {pid} graphs diverged")
-            if tuple(fast.log) != ref.observation_log:
+            if log != ref.observation_log:
                 raise AssertionError(
                     f"round {round_index}: process {pid} logs diverged")
-            if fast.output != ref.output:
+            if output != ref.output:
                 raise AssertionError(
                     f"round {round_index}: process {pid} outputs diverged")
             if not ref.lg.edges <= self.union_edges:

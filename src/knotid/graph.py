@@ -15,6 +15,7 @@ so the two can cross-validate each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Tuple
 
@@ -22,6 +23,7 @@ ProcessId = int
 
 _NO_EDGES: frozenset = frozenset()
 _NO_NODES: frozenset = frozenset()
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,15 +87,17 @@ class ObservationGraph:
 def parse_edge_lines(lines: Iterable[str], source: str = "<text>",
                      first_line: int = 1) -> Iterator[Tuple[int, TemporalEdge]]:
     """Yield ``(line number, edge)`` for every non-blank ``src dst state``
-    line, numbering from ``first_line``. A malformed line raises ValueError
-    naming ``source:line``."""
+    line, numbering from ``first_line``. A line that is not three ASCII
+    decimal fields, or is a self-loop, raises ValueError naming
+    ``source:line``."""
     for lineno, raw in enumerate(lines, start=first_line):
         parts = raw.split()
         if not parts:
             continue
         try:
-            src, dst, state = (int(p) for p in parts)
-            edge = TemporalEdge(src, dst, state)
+            if len(parts) != 3 or not all(map(_DECIMAL.fullmatch, parts)):
+                raise ValueError("want three ASCII decimal fields")
+            edge = TemporalEdge(*map(int, parts))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: malformed edge line "
                              f"{raw.strip()!r}: {exc}") from exc

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -103,6 +104,28 @@ class TestGenRun:
         assert "--worst-case" in capsys.readouterr().err
         assert not (tmp_path / "x_trace.csv").exists()
 
+    @pytest.mark.parametrize("flag", [
+        "--n", "--cycle-size", "--edges-per-round", "--horizon", "--seed"])
+    def test_schedule_file_with_generator_flag_is_usage_error(
+            self, tmp_path, capsys, flag):
+        path = tmp_path / "wc.txt"
+        save_schedule(worst_case_schedule(4), str(path))
+        code = main(["run", str(path), flag, "6",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists()
+
+    def test_unset_generator_flags_take_their_defaults(self, tmp_path):
+        out = tmp_path / "sched.txt"
+        assert main(["gen", "--n", "12", "--cycle-size", "4",
+                     "--horizon", "50", "--out", str(out)]) == 0
+        s = load_schedule(str(out))
+        assert s.params.startswith("backbone:k=4,m=5,")
+        rng = Random(0)  # seed 0: backbone seed first, computation seed second
+        rng.getrandbits(64)
+        assert s.seed == rng.getrandbits(64)
+
     @pytest.mark.parametrize("text, line", [
         ("n=3 horizon=two seed=0 params=x\n", 1),
         ("n=3 horizon=1 seed=0 params=x colour=red\n", 1),
@@ -113,13 +136,17 @@ class TestGenRun:
         ("n=3 horizon=2 seed=0 params=x\n0 3 1\n", 2),
         ("n=3 horizon=2 seed=0 params=x\n0 1 3\n", 2),
         ("n=3 horizon=2 seed=0 params=x\n0 1 1\n1 2 2\n0 1 1\n", 4),
+        ("n=11 horizon=1 seed=0 params=x\n0 1_0 1\n", 2),
+        ("n=3 horizon=1 seed=0 params=x\n+1 2 1\n", 2),
+        ("n=3 horizon=1 seed=0 params=x\n\u0660 1 1\n", 2),
     ], ids=["non-integer-horizon", "unknown-key", "negative-horizon",
             "too-few-processes", "non-integer-field", "self-loop",
-            "foreign-process", "stamp-past-horizon", "duplicate-edge"])
+            "foreign-process", "stamp-past-horizon", "duplicate-edge",
+            "underscore-field", "signed-field", "arabic-indic-digit"])
     def test_bad_schedule_file_is_usage_error(self, tmp_path, capsys,
                                               text, line):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{path}:{line}: " in capsys.readouterr().err
 

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from knotid import (
     Knot,
+    Schedule,
     computation_graph,
     gen_backbone,
     gen_computation,
+    insert_noncomm_states,
     longest_output_time,
     run,
     schedule_from_pairs,
@@ -20,7 +22,7 @@ from knotid.engine import (
     write_round_metrics_csv,
     write_trace_csv,
 )
-from util import disjoint_two_cycles_schedule
+from util import disjoint_two_cycles_schedule, small_schedules
 
 
 class TestRun:
@@ -152,6 +154,41 @@ class TestRelabelling:
             for pid, entry in base.outputs.items():
                 assert moved.outputs[perm[pid]] == (
                     None if entry is None else (relabel(entry[0]), entry[1]))
+
+
+class TestScheduleProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(small_schedules(), st.data())
+    def test_prefix_gives_the_runs_first_rounds(self, schedule, data):
+        h = data.draw(st.integers(0, schedule.horizon))
+        full = run(schedule, check_invariants=True)
+        prefix = run(Schedule(schedule.n, schedule.states[:h]),
+                     check_invariants=True)
+        for pid in range(schedule.n):
+            entry = full.outputs[pid]
+            assert prefix.outputs[pid] == (
+                entry if entry is not None and entry[1] <= h else None)
+            assert prefix.observation_logs[pid] == tuple(
+                (k, r) for k, r in full.observation_logs[pid] if r <= h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_schedules(), st.data())
+    def test_padding_shifts_decisions_only(self, schedule, data):
+        positions = data.draw(st.lists(
+            st.integers(1, schedule.horizon + 1), min_size=1, max_size=8))
+        base = run(schedule, check_invariants=True)
+        padded = run(insert_noncomm_states(schedule, positions),
+                     check_invariants=True)
+
+        def shifted(r):
+            return r + sum(1 for p in positions if p <= r)
+
+        for pid in range(schedule.n):
+            entry = base.outputs[pid]
+            assert padded.outputs[pid] == (
+                None if entry is None else (entry[0], shifted(entry[1])))
+            assert padded.observation_logs[pid] == tuple(
+                (k, shifted(r)) for k, r in base.observation_logs[pid])
 
 
 class TestVerify:

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from knotid import ObservationGraph, Schedule, TemporalEdge, schedule_from_pairs
 
 # Five processes used by the hand-built scenario below.
@@ -51,3 +53,15 @@ def random_digraph(rng: random.Random, n: int, p: float) -> ObservationGraph:
             if src != dst and rng.random() < p:
                 edges.append(TemporalEdge(src, dst, rng.randrange(10)))
     return ObservationGraph.from_edges(edges, extra_nodes=range(n))
+
+
+@st.composite
+def small_schedules(draw) -> Schedule:
+    """Up to 8 processes and 16 rounds of arbitrary links, empty rounds
+    included."""
+    n = draw(st.integers(2, 8))
+    link = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
+        .filter(lambda pair: pair[0] != pair[1])
+    rounds = draw(st.lists(st.lists(link, max_size=n),
+                           min_size=1, max_size=16))
+    return schedule_from_pairs(n, rounds)

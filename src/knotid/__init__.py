@@ -17,7 +17,6 @@ from .adversary import (
     insert_noncomm_states,
     load_schedule,
     save_schedule,
-    schedule_from_pairs,
     worst_case_schedule,
 )
 from .engine import (

@@ -2,7 +2,10 @@
 
 A schedule is a finite prefix of a computation: an ordered sequence of state
 graphs. State indices (and hence edge stamps and output rounds) are 1-based,
-so the first state of a schedule is round 1.
+so the first state of a schedule is round 1. A state is stored as its set of
+``(src, dst)`` links; the stamp of a link is the index of its round, so it is
+never stored, and temporal edges are built only where the protocol and the
+oracles need them.
 
 The stock generators cover the experimental setup (a backbone whose only
 knot is a directed cycle, with a fixed number of backbone edges appearing
@@ -15,23 +18,19 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
-from .graph import (
-    Knot,
-    ObservationGraph,
-    TemporalEdge,
-    find_knots,
-    parse_edge_lines,
-)
+from .graph import Knot, ObservationGraph, TemporalEdge, find_knots
 
 
 @dataclass(frozen=True)
 class Schedule:
     """A finite prefix of a computation plus its generation provenance.
 
-    ``states[j]`` is the state graph of round j+1 and every edge in it is
-    stamped j+1. Generated schedules are reproducible from (params, seed);
+    ``states[j]`` is the frozenset of ``(src, dst)`` links present in round
+    j+1; each link is the temporal edge ``(src, dst, j+1)``, its stamp
+    implied by its position. A link must join two distinct processes of
+    0..n-1. Generated schedules are reproducible from (params, seed);
     hand-built or padded ones carry whatever provenance string they were
     given.
     """
@@ -46,14 +45,15 @@ class Schedule:
             raise ValueError("process count must be non-negative")
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
-        for j, state in enumerate(states):
-            for e in state:
-                if e.state != j + 1:
+        for j, state in enumerate(states, start=1):
+            for src, dst in state:
+                if src == dst:
+                    raise ValueError(f"round {j}: self-loop {src}->{dst} "
+                                     "is not a valid link")
+                if not (0 <= src < self.n and 0 <= dst < self.n):
                     raise ValueError(
-                        f"edge {e} stored in state {j + 1}: stamp mismatch")
-                if e.src >= self.n or e.dst >= self.n:
-                    raise ValueError(
-                        f"edge {e} references a process outside 0..{self.n - 1}")
+                        f"round {j}: link {src}->{dst} references a process "
+                        f"outside 0..{self.n - 1}")
         if any(ch.isspace() for ch in self.params):
             raise ValueError("params string must not contain whitespace")
 
@@ -62,35 +62,30 @@ class Schedule:
         return len(self.states)
 
 
-def schedule_from_pairs(n: int, rounds: Sequence, params: str = "manual",
-                        seed: int = 0) -> Schedule:
-    """Build a schedule from per-round lists of (src, dst) pairs, stamping
-    each round with its 1-based index."""
-    states = tuple(
-        frozenset(TemporalEdge(src, dst, j + 1) for src, dst in pairs)
-        for j, pairs in enumerate(rounds))
-    return Schedule(n=n, states=states, params=params, seed=seed)
-
-
 def save_schedule(s: Schedule, path: str) -> None:
     """Write a schedule as a header line plus ``src dst state`` edge lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"n={s.n} horizon={s.horizon} seed={s.seed} params={s.params}\n")
-        for state in s.states:
-            for e in sorted(state, key=lambda e: (e.src, e.dst)):
-                fh.write(f"{e.src} {e.dst} {e.state}\n")
+        for index, state in enumerate(s.states, start=1):
+            for src, dst in sorted(state):
+                fh.write(f"{src} {dst} {index}\n")
 
 
 _HEADER = re.compile(
     r"n=([0-9]+) horizon=([0-9]+) seed=(-?[0-9]+) params=(\S*)")
+# A blank line, or three ASCII decimal fields split by ASCII whitespace.
+_EDGE_LINE = re.compile(r"\s*(?:([0-9]+)\s+([0-9]+)\s+([0-9]+)\s*)?",
+                        re.ASCII)
 
 
 def load_schedule(path: str) -> Schedule:
     """Read a file written by ``save_schedule``. Any defect raises ValueError
     naming ``path:line``: a header not in exactly that form (so also an
     unknown, repeated, missing or negative field), fewer than two processes,
-    or an edge line that is malformed, names a process outside 0..n-1, is
-    stamped outside the horizon or repeats an earlier line."""
+    or an edge line that is not three ASCII decimal fields (a sign, an
+    underscore, a non-ASCII digit or non-ASCII whitespace all count), is a
+    self-loop, names a process outside 0..n-1, is stamped outside the
+    horizon or repeats an earlier line. Blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         match = _HEADER.fullmatch(header)
@@ -102,20 +97,29 @@ def load_schedule(path: str) -> Schedule:
             raise ValueError(f"{path}:1: need at least two processes, "
                              f"got n={n}")
         buckets: list = [set() for _ in range(horizon)]
-        for lineno, e in parse_edge_lines(fh, path, first_line=2):
-            if not 1 <= e.state <= horizon:
+        for lineno, raw in enumerate(fh, start=2):
+            fields = _EDGE_LINE.fullmatch(raw)
+            if fields is None:
+                raise ValueError(f"{path}:{lineno}: malformed edge line "
+                                 f"{raw.strip()!r}: want three ASCII decimal "
+                                 "fields")
+            if fields.group(1) is None:
+                continue
+            src, dst, stamp = map(int, fields.groups())
+            if src == dst:
+                problem = "is a self-loop"
+            elif not 1 <= stamp <= horizon:
                 problem = f"stamped outside 1..{horizon}"
-            elif e.src >= n or e.dst >= n:
+            elif src >= n or dst >= n:
                 problem = f"names a process outside 0..{n - 1}"
-            elif e in buckets[e.state - 1]:
+            elif (src, dst) in buckets[stamp - 1]:
                 problem = "repeats an earlier line"
             else:
-                buckets[e.state - 1].add(e)
+                buckets[stamp - 1].add((src, dst))
                 continue
             raise ValueError(
-                f"{path}:{lineno}: edge {e.src} {e.dst} {e.state} {problem}")
-    return Schedule(n=n, states=tuple(frozenset(b) for b in buckets),
-                    params=match.group(4), seed=seed)
+                f"{path}:{lineno}: edge {src} {dst} {stamp} {problem}")
+    return Schedule(n=n, states=buckets, params=match.group(4), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -175,11 +179,8 @@ def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = random.Random(rng_seed)
-    states = []
-    for index in range(1, horizon + 1):
-        picks = rng.sample(pool, edges_per_state)
-        states.append(frozenset(TemporalEdge(src, dst, index)
-                                for src, dst in picks))
+    states = [frozenset(rng.sample(pool, edges_per_state))
+              for _ in range(horizon)]
     params = (f"backbone:k={len(backbone.cycle)},m={edges_per_state},"
               f"bseed={backbone.seed}")
     return Schedule(n=backbone.n, states=tuple(states), params=params,
@@ -197,23 +198,21 @@ def worst_case_schedule(n: int) -> Schedule:
     """
     if n < 2:
         raise ValueError("need at least two processes")
-    states = []
-    for i in range(n):
-        states.append(frozenset({TemporalEdge(i, (i + 1) % n, i + 1)}))
-    for j in range(n - 1):
-        states.append(frozenset({TemporalEdge(j, j + 1, n + 1 + j)}))
+    states = ([{(i, (i + 1) % n)} for i in range(n)]
+              + [{(j, j + 1)} for j in range(n - 1)])
     return Schedule(n=n, states=tuple(states), params=f"worst_case:n={n}",
                     seed=0)
 
 
 def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
-    """Insert empty (non-communicating) states and re-stamp what shifts.
+    """Insert empty (non-communicating) states.
 
     Each position is a 1-based state index of the original schedule; an empty
     state is inserted immediately before it (``horizon + 1`` appends at the
-    end, and repeats insert several empties at the same spot). All later
-    edges are re-stamped by their shift, which preserves every causality
-    relation of the original schedule.
+    end, and repeats insert several empties at the same spot). Stamps follow
+    round indices, so every later link moves to its shifted round with
+    nothing to re-stamp, which preserves every causality relation of the
+    original schedule.
     """
     counts: Dict[int, int] = {}
     for pos in positions:
@@ -222,11 +221,8 @@ def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
                 f"insert position {pos} outside 1..{s.horizon + 1}")
         counts[pos] = counts.get(pos, 0) + 1
     states: list = []
-    for original in range(1, s.horizon + 1):
+    for original, state in enumerate(s.states, start=1):
         states.extend([frozenset()] * counts.get(original, 0))
-        new_index = len(states) + 1
-        states.append(frozenset(
-            TemporalEdge(e.src, e.dst, new_index)
-            for e in s.states[original - 1]))
+        states.append(state)
     states.extend([frozenset()] * counts.get(s.horizon + 1, 0))
     return Schedule(n=s.n, states=tuple(states), params=s.params, seed=s.seed)

@@ -293,16 +293,22 @@ _GENERATOR_DEFAULTS = {"n": 100, "cycle_size": 10, "edges_per_round": 5,
                        "horizon": 6000, "seed": 0}
 
 
+def _reject_given(args: argparse.Namespace, keys, source: str) -> None:
+    """Usage error naming every flag among ``keys`` given with ``source``."""
+    given = ["--" + key.replace("_", "-") for key in keys
+             if getattr(args, key) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)}: generator flags cannot "
+                          f"be combined with {source}")
+
+
 def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     if getattr(args, "schedule", None):
-        given = ["--" + key.replace("_", "-")
-                 for key in (*_GENERATOR_DEFAULTS, "worst_case")
-                 if getattr(args, key) is not None]
-        if given:
-            raise ConfigError(f"{', '.join(given)}: generator flags cannot "
-                              "be combined with a schedule file")
+        _reject_given(args, (*_GENERATOR_DEFAULTS, "worst_case"),
+                      "a schedule file")
         return load_schedule(args.schedule)
     if args.worst_case is not None:
+        _reject_given(args, _GENERATOR_DEFAULTS, "--worst-case")
         if args.worst_case < 2:
             raise ConfigError("--worst-case needs at least 2 processes")
         return worst_case_schedule(args.worst_case)

@@ -14,17 +14,20 @@ static arcs gives the union of their projections, so all detection needs is
 in first-seen order, so the mask is as wide as the schedule's distinct arcs,
 not n².
 ``known_edges[p]`` is a mask over temporal-edge ids in the order the loop
-visits edges; it feeds only the payload metric and the reference checker. A
-receipt is ``known[dst] |= pre[src] | bit(link)`` where ``pre`` is the list
-of masks copied before the round's merges: ints are immutable, so that copy
-is the whole snapshot. Each process's popcount of ``known_edges`` is cached
-and refreshed only when it receives, so a round's payload costs one lookup
-per message. Knot detection runs only when a receiver's arc mask grew, the
-only thing that can change its knot set, over an adjacency extended from the
-new bits. ``check_invariants=True`` runs the plain ``protocol.on_state``
-state machine alongside and asserts both agree round by round (and that
-every local graph stays inside the computation graph); use it for small
-schedules.
+visits each round's ``(src, dst)`` links; it feeds only the payload metric
+and the reference checker. A receipt is ``known[dst] |= pre[src] |
+bit(link)`` where ``pre`` is the list of masks copied before the round's
+merges: ints are immutable, so that copy is the whole snapshot. Each
+process's popcount of ``known_edges`` is cached and refreshed only when it
+receives, so a round's payload costs one lookup per message. Knot detection
+runs only when a receiver's arc mask grew, the only thing that can change its
+knot set, over an adjacency extended from the new bits.
+
+The loop builds no ``TemporalEdge``. ``check_invariants=True`` runs the plain
+``protocol.on_state`` state machine alongside, on temporal edges the checker
+stamps itself and numbers in the loop's visiting order, and asserts both
+agree round by round (and that every local graph stays inside the
+computation graph); use it for small schedules.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
     arc_ends: List[tuple] = []       # arc id -> (src, dst)
-    edge_by_id: List[TemporalEdge] = []
+    edge_total = 0                   # next temporal-edge id
     known_arcs = [0] * n
     known_edges = [0] * n
     edge_count = [0] * n             # known_edges[p].bit_count()
@@ -125,18 +128,18 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
         pre_arcs = known_arcs[:]
         pre_edges = known_edges[:]
         payload_edges = 0
-        for e in state:
-            src, dst = e.src, e.dst
-            arc = arc_ids.get((src, dst))
+        for link in state:
+            src, dst = link
+            arc = arc_ids.get(link)
             if arc is None:
-                arc = arc_ids[src, dst] = len(arc_ends)
-                arc_ends.append((src, dst))
+                arc = arc_ids[link] = len(arc_ends)
+                arc_ends.append(link)
             known_arcs[dst] |= pre_arcs[src] | 1 << arc
-            known_edges[dst] |= pre_edges[src] | 1 << len(edge_by_id)
-            edge_by_id.append(e)
+            known_edges[dst] |= pre_edges[src] | 1 << edge_total
+            edge_total += 1
             payload_edges += edge_count[src]
 
-        for dst in {e.dst for e in state}:
+        for dst in {dst for _, dst in state}:
             edge_count[dst] = known_edges[dst].bit_count()
             new = known_arcs[dst] & ~pre_arcs[dst]
             if not new:
@@ -160,8 +163,8 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
         metrics.append(RoundMetric(round_index, len(state), payload_edges))
         if checker is not None:
             checker.after_round(round_index, state, [
-                ({edge_by_id[i] for i in _bits(known_edges[pid])},
-                 tuple(logs[pid].items()), outputs[pid]) for pid in range(n)])
+                (known_edges[pid], tuple(logs[pid].items()), outputs[pid])
+                for pid in range(n)])
 
     return Trace(
         n=n,
@@ -183,28 +186,32 @@ class _ReferenceChecker:
     def __init__(self, n: int, min_knot_size: int) -> None:
         self.min_knot_size = min_knot_size
         self.states = {pid: ProcessState.fresh(pid) for pid in range(n)}
+        self.edge_by_id: List[TemporalEdge] = []  # the loop's edge ids
         self.union_edges: set = set()
         self.union_nodes: set = set()
 
     def after_round(self, round_index: int, state, fast: list) -> None:
-        """``fast[pid]`` is the loop's (edge set, log, output) for pid."""
-        messages = {e.src: make_message(self.states[e.src]) for e in state}
+        """``fast[pid]`` is the loop's (temporal-edge mask, log, output) for
+        pid; ``state`` is the round's links, visited in the loop's order."""
+        edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
+        self.edge_by_id.extend(edges)
+        messages = {e.src: make_message(self.states[e.src]) for e in edges}
         by_dst: Dict[int, list] = {}
-        for e in state:
+        for e in edges:
             by_dst.setdefault(e.dst, []).append(e)
         for dst, in_edges in by_dst.items():
             incoming = [(messages[e.src], e)
                         for e in sorted(in_edges, key=lambda e: e.src)]
             self.states[dst] = on_state(self.states[dst], incoming,
                                         round_index, self.min_knot_size)
-        for e in state:
+        for e in edges:
             self.union_edges.add(e)
             self.union_nodes.add(e.src)
             self.union_nodes.add(e.dst)
 
         for pid, ref in self.states.items():
-            edges, log, output = fast[pid]
-            if ref.lg.edges != edges:
+            mask, log, output = fast[pid]
+            if ref.lg.edges != {self.edge_by_id[i] for i in _bits(mask)}:
                 raise AssertionError(
                     f"round {round_index}: process {pid} graphs diverged")
             if log != ref.observation_log:

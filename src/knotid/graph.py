@@ -15,15 +15,13 @@ so the two can cross-validate each other.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping
 
 ProcessId = int
 
 _NO_EDGES: frozenset = frozenset()
 _NO_NODES: frozenset = frozenset()
-_DECIMAL = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,36 +70,6 @@ class ObservationGraph:
 
     def issubset(self, other: "ObservationGraph") -> bool:
         return self.edges <= other.edges and self.nodes <= other.nodes
-
-    def to_text(self) -> str:
-        """Edge-list serialization, one ``src dst state`` line per edge."""
-        ordered = sorted(self.edges, key=lambda e: (e.state, e.src, e.dst))
-        return "".join(f"{e.src} {e.dst} {e.state}\n" for e in ordered)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ObservationGraph":
-        return cls.from_edges(
-            e for _, e in parse_edge_lines(text.splitlines()))
-
-
-def parse_edge_lines(lines: Iterable[str], source: str = "<text>",
-                     first_line: int = 1) -> Iterator[Tuple[int, TemporalEdge]]:
-    """Yield ``(line number, edge)`` for every non-blank ``src dst state``
-    line, numbering from ``first_line``. A line that is not three ASCII
-    decimal fields, or is a self-loop, raises ValueError naming
-    ``source:line``."""
-    for lineno, raw in enumerate(lines, start=first_line):
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if len(parts) != 3 or not all(map(_DECIMAL.fullmatch, parts)):
-                raise ValueError("want three ASCII decimal fields")
-            edge = TemporalEdge(*map(int, parts))
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: malformed edge line "
-                             f"{raw.strip()!r}: {exc}") from exc
-        yield lineno, edge
 
 
 @dataclass(frozen=True)
@@ -299,7 +267,8 @@ def reachability_knots(g: ObservationGraph, min_size: int = 2) -> list:
 
 
 def computation_graph(schedule, i: int) -> ObservationGraph:
-    """Union of the first i states of a schedule, stamps preserved.
+    """Union of the first i states of a schedule, each link stamped with
+    its round.
 
     ``i`` counts whole states: 0 yields the empty graph, ``schedule.horizon``
     the union of everything. With 1-based state indices this is "the graph
@@ -308,4 +277,6 @@ def computation_graph(schedule, i: int) -> ObservationGraph:
     if not 0 <= i <= len(schedule.states):
         raise IndexError(f"state index {i} outside 0..{len(schedule.states)}")
     return ObservationGraph.from_edges(
-        e for state in schedule.states[:i] for e in state)
+        TemporalEdge(src, dst, j)
+        for j, state in enumerate(schedule.states[:i], start=1)
+        for src, dst in state)

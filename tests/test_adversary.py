@@ -15,7 +15,6 @@ from knotid import (
     longest_output_time,
     run,
     save_schedule,
-    schedule_from_pairs,
     verify,
     worst_case_schedule,
 )
@@ -23,17 +22,25 @@ from util import disjoint_two_cycles_schedule
 
 
 class TestSchedule:
-    def test_stamp_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Schedule(n=3, states=(frozenset({TemporalEdge(0, 1, 2)}),))
+    def test_stamp_is_the_round_index(self, tmp_path):
+        s = Schedule(3, [[(0, 1)], [], [(1, 2), (2, 0)]])
+        assert computation_graph(s, s.horizon).edges == {
+            TemporalEdge(0, 1, 1), TemporalEdge(1, 2, 3),
+            TemporalEdge(2, 0, 3)}
+        path = tmp_path / "schedule.txt"
+        save_schedule(s, str(path))
+        assert path.read_text().splitlines()[1:] \
+            == ["0 1 1", "1 2 3", "2 0 3"]
 
-    def test_foreign_process_rejected(self):
+    @pytest.mark.parametrize("link", [(1, 1), (-1, 0), (0, 5)],
+                             ids=["self-loop", "negative-id", "foreign-id"])
+    def test_foreign_process_rejected(self, link):
         with pytest.raises(ValueError):
-            schedule_from_pairs(2, [[(0, 5)]])
+            Schedule(3, [[(0, 1)], [link]])
 
     def test_params_must_not_contain_whitespace(self):
         with pytest.raises(ValueError):
-            schedule_from_pairs(2, [[(0, 1)]], params="two words")
+            Schedule(2, [[(0, 1)]], params="two words")
 
     def test_save_load_round_trip(self, tmp_path):
         backbone = gen_backbone(12, 4, 11)
@@ -50,7 +57,7 @@ class TestSchedule:
         assert run(load_schedule(str(path))) == run(schedule)
 
     def test_empty_states_survive_round_trip(self, tmp_path):
-        schedule = schedule_from_pairs(3, [[], [(0, 1)], []])
+        schedule = Schedule(3, [[], [(0, 1)], []])
         path = tmp_path / "schedule.txt"
         save_schedule(schedule, str(path))
         loaded = load_schedule(str(path))
@@ -97,7 +104,7 @@ class TestGenComputation:
         assert s.horizon == 50
         for state in s.states:
             assert len(state) == 4
-            assert {(e.src, e.dst) for e in state} <= pool
+            assert state <= pool
 
     def test_deterministic_per_seed(self):
         b = gen_backbone(20, 5, 2)
@@ -108,7 +115,7 @@ class TestGenComputation:
         b = gen_backbone(6, 3, 1)
         s = gen_computation(b, len(b.edges), 5, 1)
         for state in s.states:
-            assert {(e.src, e.dst) for e in state} == set(b.edges)
+            assert state == set(b.edges)
 
     def test_rate_out_of_range(self):
         b = gen_backbone(6, 3, 1)
@@ -121,7 +128,7 @@ class TestGenComputation:
         # every backbone edge shows up over 6000 rounds at rate 5 of 100
         b = gen_backbone(100, 10, 4)
         s = gen_computation(b, 5, 6000, 4)
-        seen = {(e.src, e.dst) for state in s.states for e in state}
+        seen = set().union(*s.states)
         assert seen == set(b.edges)
 
 
@@ -129,7 +136,7 @@ class TestWorstCase:
     def test_two_processes(self):
         s = worst_case_schedule(2)
         assert s.horizon == 3
-        assert [sorted((e.src, e.dst) for e in state) for state in s.states] \
+        assert [sorted(state) for state in s.states] \
             == [[(0, 1)], [(1, 0)], [(0, 1)]]
 
     def test_structure_is_one_causal_chain(self):
@@ -138,8 +145,8 @@ class TestWorstCase:
             assert s.horizon == 2 * n - 1
             links = [next(iter(state)) for state in s.states]
             assert all(len(state) == 1 for state in s.states)
-            for prev, cur in zip(links, links[1:]):
-                assert cur.src == prev.dst
+            for (_, prev_dst), (cur_src, _) in zip(links, links[1:]):
+                assert cur_src == prev_dst
 
     def test_bound_is_met_exactly(self):
         for n in (2, 3, 4, 8, 16, 32, 64):

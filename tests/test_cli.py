@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from knotid import load_schedule, save_schedule, worst_case_schedule
+import knotid
+from knotid import Schedule, load_schedule, save_schedule, worst_case_schedule
 from knotid.cli import (
     ConfigError,
     ExperimentConfig,
@@ -78,9 +80,8 @@ class TestGenRun:
         assert "agreement: true" in out
 
     def test_run_empty_schedule_fails_termination(self, tmp_path):
-        from knotid import schedule_from_pairs
         path = tmp_path / "empty.txt"
-        save_schedule(schedule_from_pairs(3, [[], [], []]), str(path))
+        save_schedule(Schedule(3, [[], [], []]), str(path))
         code = main(["run", str(path), "--out", str(tmp_path / "e")])
         assert code == 1
 
@@ -116,6 +117,16 @@ class TestGenRun:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x_trace.csv").exists()
 
+    @pytest.mark.parametrize("flag", [
+        "--n", "--cycle-size", "--edges-per-round", "--horizon", "--seed"])
+    def test_worst_case_with_generator_flag_is_usage_error(
+            self, tmp_path, capsys, flag):
+        code = main(["run", "--worst-case", "8", flag, "5",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x_trace.csv").exists()
+
     def test_unset_generator_flags_take_their_defaults(self, tmp_path):
         out = tmp_path / "sched.txt"
         assert main(["gen", "--n", "12", "--cycle-size", "4",
@@ -139,10 +150,12 @@ class TestGenRun:
         ("n=11 horizon=1 seed=0 params=x\n0 1_0 1\n", 2),
         ("n=3 horizon=1 seed=0 params=x\n+1 2 1\n", 2),
         ("n=3 horizon=1 seed=0 params=x\n\u0660 1 1\n", 2),
+        ("n=3 horizon=1 seed=0 params=x\n0\u20031 1\n", 2),
     ], ids=["non-integer-horizon", "unknown-key", "negative-horizon",
             "too-few-processes", "non-integer-field", "self-loop",
             "foreign-process", "stamp-past-horizon", "duplicate-edge",
-            "underscore-field", "signed-field", "arabic-indic-digit"])
+            "underscore-field", "signed-field", "arabic-indic-digit",
+            "em-space-separator"])
     def test_bad_schedule_file_is_usage_error(self, tmp_path, capsys,
                                               text, line):
         path = tmp_path / "bad.txt"
@@ -272,17 +285,22 @@ class TestSweepCmd:
         assert [c.seed for c in cells] == [100, 101, 102, 103]
 
 
+# ``python -m`` puts its working directory first on sys.path, so running it
+# here starts the same knotid sources the tests imported, with no PYTHONPATH.
+PACKAGE_ROOT = Path(knotid.__file__).resolve().parents[1]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "knotid", "run", "--worst-case", "5",
              "--out", str(tmp_path / "m")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert result.returncode == 0
         assert "longest output round: 9" in result.stdout
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(
             [sys.executable, "-m", "knotid", "frobnicate"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert result.returncode == 2

@@ -13,7 +13,6 @@ from knotid import (
     insert_noncomm_states,
     longest_output_time,
     run,
-    schedule_from_pairs,
     verify,
     worst_case_schedule,
 )
@@ -27,7 +26,7 @@ from util import disjoint_two_cycles_schedule, small_schedules
 
 class TestRun:
     def test_all_empty_schedule(self):
-        s = schedule_from_pairs(3, [[], [], []])
+        s = Schedule(3, [[], [], []])
         t = run(s)
         assert all(entry is None for entry in t.outputs.values())
         assert all(m.messages == 0 and m.payload_edges == 0
@@ -63,18 +62,20 @@ class TestRun:
                     if src != dst:
                         pairs.add((src, dst))
                 rounds.append(sorted(pairs))
-            s = schedule_from_pairs(n, rounds)
+            s = Schedule(n, rounds)
             run(s, check_invariants=True)  # raises on any divergence
 
     def test_outputs_are_sound_against_lg_at_output_round(self, churn_schedule):
         # drive the pure state machine by hand and check every decision is a
         # knot of that process's own graph at the moment it was made
-        from knotid import ProcessState, find_knots, make_message, on_state
+        from knotid import (ProcessState, TemporalEdge, find_knots,
+                            make_message, on_state)
         states = {pid: ProcessState.fresh(pid) for pid in range(churn_schedule.n)}
         for round_index, state in enumerate(churn_schedule.states, start=1):
-            messages = {e.src: make_message(states[e.src]) for e in state}
+            edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
+            messages = {e.src: make_message(states[e.src]) for e in edges}
             by_dst = {}
-            for e in state:
+            for e in edges:
                 by_dst.setdefault(e.dst, []).append(e)
             for dst, in_edges in by_dst.items():
                 incoming = [(messages[e.src], e)
@@ -96,7 +97,7 @@ class TestRun:
                 continue
             _, round_index = entry
             state = churn_schedule.states[round_index - 1]
-            assert any(e.dst == pid for e in state)
+            assert any(dst == pid for _, dst in state)
 
     def test_replay_is_deterministic(self):
         b = gen_backbone(15, 4, 21)
@@ -134,8 +135,8 @@ class TestRelabelling:
               [4, 3, 2, 1, 0]))  # a tie the relabelling breaks the other way
     def test_relabelling_permutes_the_run(self, case):
         n, rounds, perm = case
-        base = run(schedule_from_pairs(n, rounds), check_invariants=True)
-        moved = run(schedule_from_pairs(
+        base = run(Schedule(n, rounds), check_invariants=True)
+        moved = run(Schedule(
             n, [[(perm[a], perm[b]) for a, b in pairs] for pairs in rounds]),
             check_invariants=True)
 
@@ -212,7 +213,7 @@ class TestVerify:
 
     def test_silent_process_fails_termination(self):
         # process 3 exists but never gets a link
-        s = schedule_from_pairs(4, [[(0, 1)], [(1, 2)], [(2, 0)], [(0, 1)]])
+        s = Schedule(4, [[(0, 1)], [(1, 2)], [(2, 0)], [(0, 1)]])
         v = verify(run(s))
         assert not v.termination
         assert {"kind": "undecided", "process": 3, "round": None,
@@ -222,7 +223,7 @@ class TestVerify:
         # both completed 2-cycles reach process 0 in the same round, on
         # links leaving the cycles (a relay chain would wire one cycle into
         # the other and destroy it in the receiver's graph)
-        s = schedule_from_pairs(
+        s = Schedule(
             5,
             [[(1, 2)], [(2, 1)], [(3, 4)], [(4, 3)],
              [(1, 0), (3, 0)]])
@@ -246,7 +247,7 @@ class TestTraceFiles:
         assert lines[5] == "4,5,1|2|3"
 
     def test_absent_output_leaves_fields_empty(self, tmp_path):
-        s = schedule_from_pairs(2, [[], []])
+        s = Schedule(2, [[], []])
         path = tmp_path / "trace.csv"
         write_trace_csv(run(s), str(path))
         assert path.read_text().splitlines()[1] == "0,,"

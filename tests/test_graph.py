@@ -246,16 +246,3 @@ class TestComputationGraph:
         with pytest.raises(IndexError):
             computation_graph(s, s.horizon + 1)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = graph_of((0, 1, 1), (2, 1, 3), (1, 2, 2))
-        assert ObservationGraph.from_text(g.to_text()) == g
-
-    def test_text_format(self):
-        g = graph_of((2, 1, 3), (0, 1, 1))
-        assert g.to_text() == "0 1 1\n2 1 3\n"
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            ObservationGraph.from_text("1 2\n")

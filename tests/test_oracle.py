@@ -16,12 +16,12 @@ from hypothesis import example, given, settings
 
 from knotid import (
     ObservationGraph,
+    Schedule,
     TemporalEdge,
     gen_backbone,
     gen_computation,
     reachability_knots,
     run,
-    schedule_from_pairs,
     worst_case_schedule,
 )
 from util import knot_churn_schedule, small_schedules
@@ -31,22 +31,22 @@ def journey_run(schedule, min_knot_size: int = 2) -> tuple:
     """(outputs, observation logs) keyed by process, as in ``Trace``."""
     n = schedule.n
     first_stamp: dict = {}
-    for state in schedule.states:
-        for e in state:
-            first_stamp.setdefault((e.src, e.dst), e.state)
+    for r, state in enumerate(schedule.states, start=1):
+        for link in state:
+            first_stamp.setdefault(link, r)
     vc = [[0] * n for _ in range(n)]
     held = [0] * n
     outputs = {p: None for p in range(n)}
     logs: dict = {p: [] for p in range(n)}
     for r, state in enumerate(schedule.states, start=1):
         sent = {}
-        for e in state:
-            if e.src not in sent:
-                sent[e.src] = vc[e.src][:]
-                sent[e.src][e.src] = r - 1  # a payload is the pre-round state
-        for e in state:
-            vc[e.dst] = [max(a, b) for a, b in zip(vc[e.dst], sent[e.src])]
-        for p in {e.dst for e in state}:
+        for src, _ in state:
+            if src not in sent:
+                sent[src] = vc[src][:]
+                sent[src][src] = r - 1  # a payload is the pre-round state
+        for src, dst in state:
+            vc[dst] = [max(a, b) for a, b in zip(vc[dst], sent[src])]
+        for p in {dst for _, dst in state}:
             vc[p][p] = r
             arcs = [TemporalEdge(u, v, t) for (u, v), t in first_stamp.items()
                     if t <= vc[p][v]]
@@ -88,7 +88,7 @@ def test_hand_built_schedules_match_oracle():
 
 @settings(max_examples=150, deadline=None)
 @given(small_schedules())
-@example(schedule_from_pairs(  # two knots reach process 0 in one round
+@example(Schedule(  # two knots reach process 0 in one round
     5, [[(1, 2)], [(2, 1)], [(3, 4)], [(4, 3)], [(1, 0), (3, 0)]]))
 def test_small_schedules_match_oracle(schedule):
     assert_matches_oracle(schedule)

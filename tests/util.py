@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from knotid import ObservationGraph, Schedule, TemporalEdge, schedule_from_pairs
+from knotid import ObservationGraph, Schedule, TemporalEdge
 
 # Five processes used by the hand-built scenario below.
 A, B, C, D, E = 0, 1, 2, 3, 4
@@ -36,12 +36,12 @@ def knot_churn_schedule() -> Schedule:
         [(C, B)],      # 12
         [(C, A)],      # 13
     ]
-    return schedule_from_pairs(5, rounds, params="churn_demo")
+    return Schedule(5, rounds, params="churn_demo")
 
 
 def disjoint_two_cycles_schedule() -> Schedule:
     """Two 2-cycles with no cross links: primaries can never agree."""
-    return schedule_from_pairs(
+    return Schedule(
         4, [[(0, 1)], [(1, 0)], [(2, 3)], [(3, 2)]], params="disjoint_pair")
 
 
@@ -64,4 +64,4 @@ def small_schedules(draw) -> Schedule:
         .filter(lambda pair: pair[0] != pair[1])
     rounds = draw(st.lists(st.lists(link, max_size=n),
                            min_size=1, max_size=16))
-    return schedule_from_pairs(n, rounds)
+    return Schedule(n, rounds)

@@ -36,9 +36,7 @@ from .graph import (
     ProcessId,
     TemporalEdge,
     computation_graph,
-    condense,
     find_knots,
-    merge,
     merge_all,
     reachability_knots,
 )
@@ -48,7 +46,6 @@ from .protocol import (
     decide_consensus,
     make_message,
     on_state,
-    primary_knot,
 )
 
 __version__ = "0.1.0"

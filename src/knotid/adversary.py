@@ -11,6 +11,13 @@ The stock generators cover the experimental setup (a backbone whose only
 knot is a directed cycle, with a fixed number of backbone edges appearing
 uniformly at random per round) and the deterministic worst case for the
 protocol's causally-chained complexity bound.
+
+``MAX_PROCESSES`` and ``MAX_HORIZON`` cap what a header or a generator
+argument may ask for, and are checked before anything is allocated: the
+loader makes one set per round (216 bytes empty, so 100,000 rounds take
+about 20 MiB), and the engine's arc masks can reach n bits per process
+(n**2 / 8 bytes, 12.5 MB at 10,000 processes). Both caps sit far above the
+paper's grids (n=100, 6000 rounds) and the 256-process benchmark worst case.
 """
 
 from __future__ import annotations
@@ -20,7 +27,18 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from .graph import Knot, ObservationGraph, TemporalEdge, find_knots
+from .graph import Knot, knots_from_adjacency
+
+MAX_PROCESSES = 10_000
+MAX_HORIZON = 100_000
+
+
+def _check_caps(n: int = 0, horizon: int = 0, where: str = "") -> None:
+    """ValueError, prefixed by ``where``, for a value above its cap."""
+    for name, value, cap in (("n", n, MAX_PROCESSES),
+                             ("horizon", horizon, MAX_HORIZON)):
+        if value > cap:
+            raise ValueError(f"{where}{name}={value} is above its cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +47,7 @@ class Schedule:
 
     ``states[j]`` is the frozenset of ``(src, dst)`` links present in round
     j+1; each link is the temporal edge ``(src, dst, j+1)``, its stamp
-    implied by its position. A link must join two distinct processes of
+    implied by its position. A link must join two distinct int ids of
     0..n-1. Generated schedules are reproducible from (params, seed);
     hand-built or padded ones carry whatever provenance string they were
     given.
@@ -50,10 +68,11 @@ class Schedule:
                 if src == dst:
                     raise ValueError(f"round {j}: self-loop {src}->{dst} "
                                      "is not a valid link")
-                if not (0 <= src < self.n and 0 <= dst < self.n):
+                if not (type(src) is int and type(dst) is int
+                        and 0 <= src < self.n and 0 <= dst < self.n):
                     raise ValueError(
-                        f"round {j}: link {src}->{dst} references a process "
-                        f"outside 0..{self.n - 1}")
+                        f"round {j}: link {src!r}->{dst!r} names a process "
+                        f"other than the ints 0..{self.n - 1}")
         if any(ch.isspace() for ch in self.params):
             raise ValueError("params string must not contain whitespace")
 
@@ -79,15 +98,16 @@ _EDGE_LINE = re.compile(r"\s*(?:([0-9]+)\s+([0-9]+)\s+([0-9]+)\s*)?",
 
 
 def load_schedule(path: str) -> Schedule:
-    """Read a file written by ``save_schedule``. Any defect raises ValueError
-    naming ``path:line``: a header not in exactly that form (so also an
-    unknown, repeated, missing or negative field), fewer than two processes,
+    """Read a file written by ``save_schedule``; blank lines are skipped.
+    Any defect raises ValueError naming ``path:line``: a header not in
+    exactly that form once ASCII whitespace is stripped (so also an unknown,
+    repeated, missing or negative field), n < 2, n or horizon above its cap,
     or an edge line that is not three ASCII decimal fields (a sign, an
     underscore, a non-ASCII digit or non-ASCII whitespace all count), is a
     self-loop, names a process outside 0..n-1, is stamped outside the
-    horizon or repeats an earlier line. Blank lines are skipped."""
+    horizon or repeats an earlier line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        header = fh.readline().strip(" \t\n\r\f\v")
         match = _HEADER.fullmatch(header)
         if match is None:
             raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
@@ -96,6 +116,7 @@ def load_schedule(path: str) -> Schedule:
         if n < 2:
             raise ValueError(f"{path}:1: need at least two processes, "
                              f"got n={n}")
+        _check_caps(n, horizon, f"{path}:1: ")
         buckets: list = [set() for _ in range(horizon)]
         for lineno, raw in enumerate(fh, start=2):
             fields = _EDGE_LINE.fullmatch(raw)
@@ -144,16 +165,13 @@ class Backbone:
                            for i in range(k))
         return cycle_arcs + self.tree_edges
 
-    def static_graph(self) -> ObservationGraph:
-        return ObservationGraph.from_edges(
-            TemporalEdge(src, dst, 0) for src, dst in self.edges)
-
 
 def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     """Cycle over processes 0..cycle_size-1, remaining nodes attached one by
     one with a single outward edge from a uniformly chosen connected node."""
     if n < 2:
         raise ValueError("a backbone needs at least two processes")
+    _check_caps(n=n)
     if not 2 <= cycle_size <= n:
         raise ValueError(f"cycle_size must be in 2..{n}, got {cycle_size}")
     rng = random.Random(rng_seed)
@@ -163,7 +181,10 @@ def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
         parent = rng.randrange(new)  # every id below `new` is already connected
         tree.append((parent, new))
     backbone = Backbone(n=n, cycle=cycle, tree_edges=tuple(tree), seed=rng_seed)
-    if find_knots(backbone.static_graph(), 2) != [Knot(cycle)]:
+    adjacency: dict = {}
+    for src, dst in backbone.edges:
+        adjacency.setdefault(src, []).append(dst)
+    if knots_from_adjacency(range(n), adjacency) != [Knot(cycle)]:
         raise RuntimeError("generated backbone lost its unique-knot invariant")
     return backbone
 
@@ -178,6 +199,7 @@ def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
             f"edges_per_state must be in 1..{len(pool)}, got {edges_per_state}")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    _check_caps(horizon=horizon)
     rng = random.Random(rng_seed)
     states = [frozenset(rng.sample(pool, edges_per_state))
               for _ in range(horizon)]
@@ -198,6 +220,7 @@ def worst_case_schedule(n: int) -> Schedule:
     """
     if n < 2:
         raise ValueError("need at least two processes")
+    _check_caps(n=n)
     states = ([{(i, (i + 1) % n)} for i in range(n)]
               + [{(j, j + 1)} for j in range(n - 1)])
     return Schedule(n=n, states=tuple(states), params=f"worst_case:n={n}",

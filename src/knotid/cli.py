@@ -188,14 +188,20 @@ class MeanRow:
     excluded: int
 
 
+def _generate(n: int, cycle_size: int, edges_per_round: int, horizon: int,
+              seed: int) -> Schedule:
+    """The backbone computation of one seed: ``Random(seed)`` draws the
+    backbone's seed, then the computation's."""
+    rng = Random(seed)
+    backbone = gen_backbone(n, cycle_size, rng.getrandbits(64))
+    return gen_computation(backbone, edges_per_round, horizon,
+                           rng.getrandbits(64))
+
+
 def _run_cell(task: tuple) -> CellResult:
     n, cycle_size, edges, horizon, min_knot_size, cell_seed = task
-    rng = Random(cell_seed)
-    backbone_seed = rng.getrandbits(64)
-    computation_seed = rng.getrandbits(64)
-    backbone = gen_backbone(n, cycle_size, backbone_seed)
-    schedule = gen_computation(backbone, edges, horizon, computation_seed)
-    trace = run(schedule, min_knot_size=min_knot_size)
+    trace = run(_generate(n, cycle_size, edges, horizon, cell_seed),
+                min_knot_size=min_knot_size)
     verdict = verify(trace)
     return CellResult(
         cycle_size=cycle_size,
@@ -215,14 +221,11 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[CellResult], List[MeanRow]]:
     cell can be reproduced in isolation. Workers only change wall time, never
     results or row order.
     """
-    tasks = []
-    index = 0
-    for cycle_size in cfg.cycle_sizes:
-        for edges in cfg.edges_per_round:
-            for _ in range(cfg.num_seeds):
-                tasks.append((cfg.n, cycle_size, edges, cfg.horizon,
-                              cfg.min_knot_size, cfg.base_seed + index))
-                index += 1
+    groups = [(k, m) for k in cfg.cycle_sizes for m in cfg.edges_per_round]
+    size = cfg.num_seeds
+    tasks = [(cfg.n, k, m, cfg.horizon, cfg.min_knot_size,
+              cfg.base_seed + g * size + s)
+             for g, (k, m) in enumerate(groups) for s in range(size)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             cells = list(pool.map(_run_cell, tasks))
@@ -230,18 +233,15 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[CellResult], List[MeanRow]]:
         cells = [_run_cell(task) for task in tasks]
 
     means: List[MeanRow] = []
-    position = 0
-    for cycle_size in cfg.cycle_sizes:
-        for edges in cfg.edges_per_round:
-            group = cells[position:position + cfg.num_seeds]
-            position += cfg.num_seeds
-            included = [c.longest for c in group if c.longest is not None]
-            means.append(MeanRow(
-                cycle_size=cycle_size,
-                edges_per_round=edges,
-                mean=sum(included) / len(included) if included else None,
-                excluded=len(group) - len(included),
-            ))
+    for g, (k, m) in enumerate(groups):
+        group = cells[g * size:(g + 1) * size]
+        included = [c.longest for c in group if c.longest is not None]
+        means.append(MeanRow(
+            cycle_size=k,
+            edges_per_round=m,
+            mean=sum(included) / len(included) if included else None,
+            excluded=len(group) - len(included),
+        ))
     return cells, means
 
 
@@ -258,12 +258,9 @@ def write_sweep_csv(cfg: ExperimentConfig, cells: Sequence[CellResult],
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config: {cfg.canonical()}\n")
         fh.write(SWEEP_COLUMNS + "\n")
-        by_group: dict = {}
-        for cell in cells:
-            by_group.setdefault(
-                (cell.cycle_size, cell.edges_per_round), []).append(cell)
-        for mean_row in means:
-            for cell in by_group[(mean_row.cycle_size, mean_row.edges_per_round)]:
+        size = cfg.num_seeds  # cells come in row order, one group per mean
+        for index, mean_row in enumerate(means):
+            for cell in cells[index * size:(index + 1) * size]:
                 fh.write(",".join([
                     str(cell.cycle_size),
                     str(cell.edges_per_round),
@@ -315,12 +312,7 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     n, cycle_size, edges_per_round, horizon, seed = (
         default if getattr(args, key) is None else getattr(args, key)
         for key, default in _GENERATOR_DEFAULTS.items())
-    if not 2 <= cycle_size <= n:
-        raise ConfigError(f"cycle size {cycle_size} outside 2..{n}")
-    rng = Random(seed)
-    backbone = gen_backbone(n, cycle_size, rng.getrandbits(64))
-    return gen_computation(backbone, edges_per_round, horizon,
-                           rng.getrandbits(64))
+    return _generate(n, cycle_size, edges_per_round, horizon, seed)
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
@@ -386,23 +378,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if verdict.uniform else 1
 
 
-def _default_workers() -> Optional[str]:
-    return os.environ.get(WORKERS_ENV)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    flag_values = {
-        "n": args.n,
-        "cycle_sizes": args.cycle_sizes,
-        "edges_per_round": args.edges_per_round,
-        "horizon": args.horizon,
-        "num_seeds": args.num_seeds,
-        "base_seed": args.base_seed,
-        "min_knot_size": args.min_knot_size,
-        "workers": args.workers if args.workers is not None else _default_workers(),
-        "out": args.out,
-    }
+    flag_values = {f.name: getattr(args, f.name)
+                   for f in fields(ExperimentConfig)}
+    if flag_values["workers"] is None:
+        flag_values["workers"] = os.environ.get(WORKERS_ENV)
     cfg = config_from_sources(file_values, flag_values)
     cells, means = run_sweep(cfg)
     write_sweep_csv(cfg, cells, means, cfg.out)
@@ -464,10 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

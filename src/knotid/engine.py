@@ -57,8 +57,6 @@ class Trace:
 
     n: int
     horizon: int
-    seed: int
-    params: str
     outputs: dict
     observation_logs: dict
     round_metrics: list
@@ -169,8 +167,6 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
     return Trace(
         n=n,
         horizon=schedule.horizon,
-        seed=schedule.seed,
-        params=schedule.params,
         outputs=dict(enumerate(outputs)),
         observation_logs={pid: tuple(log.items())
                           for pid, log in enumerate(logs)},

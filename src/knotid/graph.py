@@ -7,10 +7,10 @@ of the projected static digraph that has no incoming arcs and at least two
 members. Out-arcs leaving a knot are harmless, a single arc entering it
 destroys it.
 
-Two knot finders are provided on purpose. ``find_knots`` condenses the graph
-into its SCC DAG and keeps the source components; ``reachability_knots`` is a
-deliberately naive per-node reachability check kept structurally independent
-so the two can cross-validate each other.
+Two knot finders are provided on purpose. ``find_knots`` splits the graph
+into its SCCs and keeps the components no arc enters; ``reachability_knots``
+is a deliberately naive per-node reachability check kept structurally
+independent so the two can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 ProcessId = int
-
-_NO_EDGES: frozenset = frozenset()
-_NO_NODES: frozenset = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +48,8 @@ class ObservationGraph:
     ``nodes`` to always cover every edge endpoint.
     """
 
-    edges: frozenset = _NO_EDGES
-    nodes: frozenset = _NO_NODES
+    edges: frozenset = frozenset()
+    nodes: frozenset = frozenset()
 
     def __post_init__(self) -> None:
         edges = frozenset(self.edges)
@@ -67,9 +64,6 @@ class ObservationGraph:
     def from_edges(cls, edges: Iterable[TemporalEdge],
                    extra_nodes: Iterable[ProcessId] = ()) -> "ObservationGraph":
         return cls(edges=frozenset(edges), nodes=frozenset(extra_nodes))
-
-    def issubset(self, other: "ObservationGraph") -> bool:
-        return self.edges <= other.edges and self.nodes <= other.nodes
 
 
 @dataclass(frozen=True)
@@ -94,30 +88,14 @@ class Knot:
         return len(self.members)
 
 
-def merge(a: ObservationGraph, b: ObservationGraph) -> ObservationGraph:
-    """Union of two observation graphs (commutative, associative, idempotent)."""
-    return ObservationGraph(edges=a.edges | b.edges, nodes=a.nodes | b.nodes)
-
-
 def merge_all(graphs: Iterable[ObservationGraph]) -> ObservationGraph:
+    """Union of observation graphs (commutative, associative, idempotent)."""
     edges: set = set()
     nodes: set = set()
     for g in graphs:
         edges |= g.edges
         nodes |= g.nodes
     return ObservationGraph(edges=frozenset(edges), nodes=frozenset(nodes))
-
-
-@dataclass(frozen=True)
-class Condensation:
-    """SCC partition of a digraph plus the arcs between components.
-
-    ``components`` are canonical (each sorted, the list sorted); ``arcs``
-    holds (i, j) pairs of component indices and is acyclic by construction.
-    """
-
-    components: tuple
-    arcs: frozenset
 
 
 def _strongly_connected_components(nodes: list, adjacency: Mapping) -> list:
@@ -166,35 +144,12 @@ def _strongly_connected_components(nodes: list, adjacency: Mapping) -> list:
     return out
 
 
-def _condense(nodes: Iterable[ProcessId], adjacency: Mapping) -> Condensation:
-    order = sorted(nodes)
-    raw = _strongly_connected_components(order, adjacency)
-    components = tuple(sorted(tuple(sorted(c)) for c in raw))
-    member_of = {v: i for i, comp in enumerate(components) for v in comp}
-    arcs = set()
-    for u in order:
-        cu = member_of[u]
-        for w in adjacency.get(u, ()):
-            cw = member_of[w]
-            if cw != cu:
-                arcs.add((cu, cw))
-    return Condensation(components=components, arcs=frozenset(arcs))
-
-
 def _projected_adjacency(edges: Iterable[TemporalEdge]) -> dict:
     """Collapse temporal parallels: one static arc per (src, dst) pair."""
     adjacency: dict = {}
     for e in edges:
         adjacency.setdefault(e.src, set()).add(e.dst)
     return adjacency
-
-
-def condense(g: ObservationGraph) -> Condensation:
-    """Partition g's nodes into SCCs of the projected digraph.
-
-    State stamps are ignored; parallel temporal edges collapse to one arc.
-    """
-    return _condense(g.nodes, _projected_adjacency(g.edges))
 
 
 def knots_from_adjacency(nodes: Iterable[ProcessId], adjacency: Mapping,
@@ -208,11 +163,14 @@ def knots_from_adjacency(nodes: Iterable[ProcessId], adjacency: Mapping,
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
-    condensation = _condense(nodes, adjacency)
-    entered = {j for _, j in condensation.arcs}
-    return [Knot(comp)
-            for i, comp in enumerate(condensation.components)
-            if i not in entered and len(comp) >= min_size]
+    order = sorted(nodes)
+    components = _strongly_connected_components(order, adjacency)
+    member_of = {v: i for i, comp in enumerate(components) for v in comp}
+    entered = {member_of[w] for u in order for w in adjacency.get(u, ())
+               if member_of[w] != member_of[u]}
+    return sorted((Knot(comp) for i, comp in enumerate(components)
+                   if i not in entered and len(comp) >= min_size),
+                  key=lambda k: k.members)
 
 
 def find_knots(g: ObservationGraph, min_size: int = 2) -> list:
@@ -228,7 +186,7 @@ def reachability_knots(g: ObservationGraph, min_size: int = 2) -> list:
     it (any one-way arc into its neighbourhood disqualifies it, one-way arcs
     out of it do not). Mutually reachable knot nodes are grouped into one
     knot; groups below min_size are dropped. Same contract and ordering as
-    ``find_knots``, but no condensation machinery is shared.
+    ``find_knots``, but no SCC machinery is shared.
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")

@@ -108,14 +108,6 @@ def on_state(p: ProcessState, incoming: Sequence, round_index: int,
     return replace(p, lg=lg, observation_log=log, output=output)
 
 
-def primary_knot(p: ProcessState) -> Optional[Knot]:
-    """The knot of the earliest observation, ties broken like the output rule."""
-    if not p.observation_log:
-        return None
-    first_round = min(r for _, r in p.observation_log)
-    return primary_tie_break(k for k, r in p.observation_log if r == first_round)
-
-
 def decide_consensus(k: Knot, inputs: Mapping) -> int:
     """Reduce an agreed knot to a consensus value.
 

@@ -4,20 +4,22 @@ import pytest
 
 from knotid import (
     Knot,
+    ObservationGraph,
     Schedule,
     TemporalEdge,
     computation_graph,
-    find_knots,
     gen_backbone,
     gen_computation,
     insert_noncomm_states,
     load_schedule,
     longest_output_time,
+    reachability_knots,
     run,
     save_schedule,
     verify,
     worst_case_schedule,
 )
+from knotid.adversary import MAX_HORIZON, MAX_PROCESSES
 from util import disjoint_two_cycles_schedule
 
 
@@ -32,10 +34,11 @@ class TestSchedule:
         assert path.read_text().splitlines()[1:] \
             == ["0 1 1", "1 2 3", "2 0 3"]
 
-    @pytest.mark.parametrize("link", [(1, 1), (-1, 0), (0, 5)],
-                             ids=["self-loop", "negative-id", "foreign-id"])
+    @pytest.mark.parametrize(
+        "link", [(1, 1), (-1, 0), (0, 5), (True, 2), (0.5, 1)],
+        ids=["self-loop", "negative-id", "foreign-id", "bool-id", "float-id"])
     def test_foreign_process_rejected(self, link):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="round 2"):
             Schedule(3, [[(0, 1)], [link]])
 
     def test_params_must_not_contain_whitespace(self):
@@ -88,7 +91,9 @@ class TestGenBackbone:
     def test_cycle_is_the_unique_knot(self):
         for seed in range(20):
             b = gen_backbone(25, 6, seed)
-            assert find_knots(b.static_graph(), 2) == [Knot(b.cycle)]
+            g = ObservationGraph.from_edges(
+                TemporalEdge(src, dst, 0) for src, dst in b.edges)
+            assert reachability_knots(g) == [Knot(b.cycle)]
 
     def test_every_node_appears(self):
         b = gen_backbone(40, 5, 3)
@@ -130,6 +135,26 @@ class TestGenComputation:
         s = gen_computation(b, 5, 6000, 4)
         seen = set().union(*s.states)
         assert seen == set(b.edges)
+
+
+class TestCaps:
+    """Sizes above the caps are refused before anything is allocated."""
+
+    def test_caps_admit_the_experiment_grids(self):
+        assert MAX_PROCESSES >= 256 and MAX_HORIZON >= 6000
+
+    @pytest.mark.parametrize("n", [MAX_PROCESSES + 1, 10**12])
+    def test_process_cap(self, n):
+        with pytest.raises(ValueError, match=f"n={n} is above its cap"):
+            gen_backbone(n, 4, 0)
+        with pytest.raises(ValueError, match=f"n={n} is above its cap"):
+            worst_case_schedule(n)
+
+    @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**12])
+    def test_horizon_cap(self, horizon):
+        with pytest.raises(ValueError,
+                           match=f"horizon={horizon} is above its cap"):
+            gen_computation(gen_backbone(6, 3, 1), 2, horizon, 1)
 
 
 class TestWorstCase:

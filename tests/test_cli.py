@@ -151,17 +151,39 @@ class TestGenRun:
         ("n=3 horizon=1 seed=0 params=x\n+1 2 1\n", 2),
         ("n=3 horizon=1 seed=0 params=x\n\u0660 1 1\n", 2),
         ("n=3 horizon=1 seed=0 params=x\n0\u20031 1\n", 2),
+        ("n=3 horizon=1 seed=0 params=x\u2003\n0 1 1\n", 1),
+        ("\u2003n=3 horizon=1 seed=0 params=x\n0 1 1\n", 1),
+        ("n=1000000000000 horizon=1 seed=0 params=x\n", 1),
+        ("n=3 horizon=1000000000000 seed=0 params=x\n", 1),
     ], ids=["non-integer-horizon", "unknown-key", "negative-horizon",
             "too-few-processes", "non-integer-field", "self-loop",
             "foreign-process", "stamp-past-horizon", "duplicate-edge",
             "underscore-field", "signed-field", "arabic-indic-digit",
-            "em-space-separator"])
+            "em-space-separator", "em-space-header-end",
+            "em-space-header-start", "process-cap", "horizon-cap"])
     def test_bad_schedule_file_is_usage_error(self, tmp_path, capsys,
                                               text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text, encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{path}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        "n=3 horizon=1 seed=0 params=x \t\n",
+        "n=3 horizon=1 seed=0 params=x\r\n",
+        " n=3 horizon=1 seed=0 params=x\n",
+    ], ids=["trailing", "crlf", "leading"])
+    def test_header_ascii_whitespace_loads(self, tmp_path, header):
+        path = tmp_path / "ok.txt"
+        path.write_bytes((header + "0 1 1\n").encode("ascii"))
+        assert load_schedule(str(path)) == Schedule(3, [[(0, 1)]], "x")
+
+    @pytest.mark.parametrize("flags", [
+        ["--horizon", str(10**12)], ["--worst-case", str(10**12)],
+        ["--n", str(10**12)]], ids=["horizon", "worst-case", "n"])
+    def test_size_above_cap_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["run", *flags, "--out", str(tmp_path / "x")]) == 2
+        assert "is above its cap" in capsys.readouterr().err
 
     def test_bad_generator_flags_are_usage_error(self, tmp_path):
         code = main(["run", "--n", "5", "--cycle-size", "9",

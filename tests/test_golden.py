@@ -1,0 +1,46 @@
+"""Byte identity of the CLI's output files against checked-in references.
+
+Each file under ``tests/golden/`` was written by the command listed for it
+below, run as ``knotid <args>`` with ``{out}`` replaced by an output
+directory. Regenerate a file only when its format changes on purpose.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from knotid import save_schedule
+from knotid.cli import main
+from util import disjoint_two_cycles_schedule
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
+         "--edges-per-round", "1,3", "--horizon", "300", "--num-seeds", "2",
+         "--out", "{out}/sweep.csv"]
+WORST_CASE = ["run", "--worst-case", "8", "--out", "{out}/worst_case_8"]
+GENERATED = ["run", "--n", "20", "--cycle-size", "4", "--horizon", "300",
+             "--seed", "3", "--out", "{out}/n20_k4_seed3"]
+# {out}/disjoint.txt holds tests/util.py's disjoint_two_cycles_schedule().
+VERIFY = ["verify", "{out}/disjoint.txt", "--json",
+          "{out}/disjoint_verify.json"]
+
+# golden file -> (command that writes it, its exit code)
+CASES = {
+    "sweep.csv": (SWEEP, 0),
+    "worst_case_8_trace.csv": (WORST_CASE, 0),
+    "worst_case_8_rounds.csv": (WORST_CASE, 0),
+    "worst_case_8_diagnostics.jsonl": (WORST_CASE, 0),
+    "n20_k4_seed3_trace.csv": (GENERATED, 0),
+    "n20_k4_seed3_rounds.csv": (GENERATED, 0),
+    "n20_k4_seed3_diagnostics.jsonl": (GENERATED, 0),
+    "disjoint_verify.json": (VERIFY, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(tmp_path, name):
+    save_schedule(disjoint_two_cycles_schedule(), str(tmp_path / "disjoint.txt"))
+    argv, code = CASES[name]
+    assert main([arg.format(out=tmp_path) for arg in argv]) == code
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -9,12 +9,11 @@ from knotid import (
     ObservationGraph,
     TemporalEdge,
     computation_graph,
-    condense,
     find_knots,
-    merge,
     merge_all,
     reachability_knots,
 )
+from knotid.graph import _strongly_connected_components
 from util import knot_churn_schedule, random_digraph
 
 
@@ -67,65 +66,107 @@ class TestTypes:
             Knot((5,))
 
 
+def projection(g):
+    """Static adjacency of g: node -> set of successors, stamps dropped."""
+    adjacency = {}
+    for e in g.edges:
+        adjacency.setdefault(e.src, set()).add(e.dst)
+    return adjacency
+
+
+def components_of(g):
+    """g's SCCs as found by the Tarjan behind ``find_knots``, canonical."""
+    raw = _strongly_connected_components(sorted(g.nodes), projection(g))
+    return sorted(tuple(sorted(c)) for c in raw)
+
+
 class TestMerge:
     def test_identity(self):
         g = graph_of((1, 2, 1))
-        assert merge(g, ObservationGraph()) == g
+        assert merge_all([g, ObservationGraph()]) == g
+        assert merge_all([g]) == g
 
     def test_idempotent(self):
         g = graph_of((1, 2, 1), (2, 3, 2))
-        assert merge(g, g) == g
+        assert merge_all([g, g]) == g
 
     def test_disjoint_union(self):
-        got = merge(graph_of((0, 1, 1)), graph_of((1, 2, 2)))
+        got = merge_all([graph_of((0, 1, 1)), graph_of((1, 2, 2))])
         assert got == graph_of((0, 1, 1), (1, 2, 2))
         assert got.nodes == {0, 1, 2}
 
     @settings(max_examples=60)
     @given(observation_graphs(), observation_graphs(), observation_graphs())
     def test_semilattice_join(self, a, b, c):
-        assert merge(a, b) == merge(b, a)
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
-        assert merge(a, a) == a
-        assert merge_all([a, b, c]) == merge(merge(a, b), c)
+        assert merge_all([a, b]) == merge_all([b, a])
+        assert (merge_all([merge_all([a, b]), c])
+                == merge_all([a, merge_all([b, c])]))
+        assert merge_all([a, a]) == a
+        assert merge_all([a, b, c]) == merge_all([merge_all([a, b]), c])
 
 
 class TestCondense:
+    """The SCC split inside ``knots_from_adjacency``: the examples are
+    checked through ``find_knots``, the partition on
+    ``_strongly_connected_components`` itself."""
+
     def test_empty(self):
-        got = condense(ObservationGraph())
-        assert got.components == () and got.arcs == frozenset()
+        assert components_of(ObservationGraph()) == []
+        assert find_knots(ObservationGraph()) == []
 
     def test_cycle_is_one_component(self):
         g = graph_of((0, 1, 5), (1, 2, 1), (2, 0, 9))
-        got = condense(g)
-        assert got.components == ((0, 1, 2),)
-        assert got.arcs == frozenset()
+        assert components_of(g) == [(0, 1, 2)]
+        assert find_knots(g) == [Knot((0, 1, 2))]
 
     def test_churn_union_through_state_7(self):
         g = computation_graph(knot_churn_schedule(), 7)
-        got = condense(g)
-        assert got.components == ((0, 1, 2, 3), (4,))
-        assert got.arcs == frozenset({(0, 1)})
+        assert components_of(g) == [(0, 1, 2, 3), (4,)]
+        # the only arc between the two components leaves the knot
+        crossing = {(e.src, e.dst) for e in g.edges
+                    if (e.src == 4) != (e.dst == 4)}
+        assert crossing == {(3, 4)}
+        assert find_knots(g) == [Knot((0, 1, 2, 3))]
+        entered = merge_all([g, graph_of((5, 0, 8))])  # an arc into the knot
+        assert find_knots(entered) == []
 
     @settings(max_examples=100)
     @given(observation_graphs())
     def test_partition_properties(self, g):
-        got = condense(g)
-        seen = [v for comp in got.components for v in comp]
+        adjacency = projection(g)
+
+        def reach_from(start):
+            seen, frontier = {start}, [start]
+            while frontier:
+                for w in adjacency.get(frontier.pop(), ()):
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            return seen
+
+        reach = {v: reach_from(v) for v in g.nodes}
+        got = components_of(g)
+        seen = [v for comp in got for v in comp]
         assert sorted(seen) == sorted(g.nodes)  # disjoint cover
         assert len(seen) == len(set(seen))
-        assert all(i != j for i, j in got.arcs)
+        for comp in got:  # each is its members' mutual-reachability class
+            for v in comp:
+                assert set(comp) == {w for w in g.nodes
+                                     if w in reach[v] and v in reach[w]}
         # component DAG is acyclic: longest-path labelling must terminate
+        member_of = {v: i for i, comp in enumerate(got) for v in comp}
+        arcs = {(member_of[e.src], member_of[e.dst]) for e in g.edges
+                if member_of[e.src] != member_of[e.dst]}
         order = {}
         changed = True
         while changed:
             changed = False
-            for i, j in sorted(got.arcs):
+            for i, j in sorted(arcs):
                 need = order.get(i, 0) + 1
                 if order.get(j, 0) < need:
                     order[j] = need
                     changed = True
-                    assert need <= len(got.components), "cycle in component DAG"
+                    assert need <= len(got), "cycle in component DAG"
 
 
 class TestFindKnots:
@@ -232,7 +273,9 @@ class TestComputationGraph:
     def test_prefixes_are_monotone(self):
         s = knot_churn_schedule()
         for i in range(s.horizon):
-            assert computation_graph(s, i).issubset(computation_graph(s, i + 1))
+            before, after = computation_graph(s, i), computation_graph(s, i + 1)
+            assert before.edges <= after.edges
+            assert before.nodes <= after.nodes
 
     def test_through_state_7_contains_both_closing_links(self):
         g = computation_graph(knot_churn_schedule(), 7)

@@ -9,8 +9,8 @@ from knotid import (
     decide_consensus,
     make_message,
     on_state,
-    primary_knot,
 )
+from knotid.protocol import primary_tie_break
 
 
 def graph_of(*triples, extra_nodes=()):
@@ -94,31 +94,43 @@ class TestOnState:
         round_index = 2
         for payload in payloads:
             nxt = deliver(p, payload, src=0, round_index=round_index)
-            assert p.lg.issubset(nxt.lg)
+            assert p.lg.edges <= nxt.lg.edges
+            assert p.lg.nodes <= nxt.lg.nodes
             p, round_index = nxt, round_index + 2
 
 
 class TestPrimaryKnot:
+    """The primary knot is ``on_state``'s output: the knot of the earliest
+    observation, same-round ties broken by ``primary_tie_break``."""
+
     def test_empty_log_has_no_primary(self):
-        assert primary_knot(ProcessState.fresh(0)) is None
+        assert ProcessState.fresh(0).output is None
+        p = deliver(ProcessState.fresh(0), graph_of((1, 2, 1)), src=1,
+                    round_index=2)
+        assert p.observation_log == () and p.output is None
 
     def test_earliest_round_wins(self):
-        p = ProcessState(
-            self_id=0, lg=ObservationGraph(),
-            observation_log=((Knot((1, 2, 3)), 5), (Knot((0, 1, 2, 3)), 9)))
-        assert primary_knot(p) == Knot((1, 2, 3))
+        cycle = graph_of((1, 2, 1), (2, 3, 2), (3, 1, 3))
+        p = deliver(ProcessState.fresh(0), cycle, src=3, round_index=5)
+        bigger = graph_of((1, 2, 1), (2, 3, 2), (3, 1, 3), (0, 1, 6),
+                          (3, 0, 7))
+        p = deliver(p, bigger, src=3, round_index=9)
+        assert p.observation_log == ((Knot((1, 2, 3)), 5),
+                                     (Knot((0, 1, 2, 3)), 9))
+        assert p.output == (Knot((1, 2, 3)), 5)
 
     def test_same_round_tie_break_prefers_smallest(self):
-        p = ProcessState(
-            self_id=0, lg=ObservationGraph(),
-            observation_log=((Knot((1, 2)), 4), (Knot((2, 3)), 4)))
-        assert primary_knot(p) == Knot((1, 2))
+        for knots in ([Knot((1, 2)), Knot((2, 3))],
+                      [Knot((2, 3)), Knot((1, 2))]):
+            assert primary_tie_break(knots) == Knot((1, 2))
 
     def test_size_beats_lexicographic_order(self):
-        p = ProcessState(
-            self_id=0, lg=ObservationGraph(),
-            observation_log=((Knot((0, 1, 2)), 4), (Knot((5, 6)), 4)))
-        assert primary_knot(p) == Knot((5, 6))
+        payload = graph_of((0, 1, 1), (1, 2, 2), (2, 0, 3), (5, 6, 1),
+                           (6, 5, 2))
+        p = deliver(ProcessState.fresh(9), payload, src=0, round_index=4)
+        assert {k for k, _ in p.observation_log} == {Knot((0, 1, 2)),
+                                                     Knot((5, 6))}
+        assert p.output == (Knot((5, 6)), 4)
 
 
 class TestDecideConsensus:

@@ -12,6 +12,7 @@ trace verification, and a CLI for experiment sweeps.
 from .adversary import (
     Backbone,
     Schedule,
+    computation_rounds,
     gen_backbone,
     gen_computation,
     insert_noncomm_states,

@@ -1,11 +1,11 @@
 """Schedule generators and the schedule file format.
 
-A schedule is a finite prefix of a computation: an ordered sequence of state
-graphs. State indices (and hence edge stamps and output rounds) are 1-based,
-so the first state of a schedule is round 1. A state is stored as its set of
-``(src, dst)`` links; the stamp of a link is the index of its round, so it is
-never stored, and temporal edges are built only where the protocol and the
-oracles need them.
+A computation is an unbounded stream of rounds, and a schedule is its finite
+prefix: an ordered sequence of state graphs. State indices (and hence edge
+stamps and output rounds) are 1-based, so the first state is round 1. A
+state is stored as its set of ``(src, dst)`` links; the stamp of a link is
+the index of its round, so it is never stored, and temporal edges are built
+only where the protocol and the oracles need them.
 
 The stock generators cover the experimental setup (a backbone whose only
 knot is a directed cycle, with a fixed number of backbone edges appearing
@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from itertools import islice, repeat
+from typing import Dict, Iterable, Iterator
 
 from .graph import Knot, knots_from_adjacency
 
@@ -39,6 +40,20 @@ def _check_caps(n: int = 0, horizon: int = 0, where: str = "") -> None:
                              ("horizon", horizon, MAX_HORIZON)):
         if value > cap:
             raise ValueError(f"{where}{name}={value} is above its cap {cap}")
+
+
+def _check_links(n: int, links, where: str) -> None:
+    """ValueError, prefixed by ``where``, for a self-loop or a link that does
+    not join two int ids of 0..n-1."""
+    for src, dst in links:
+        if src == dst:
+            raise ValueError(f"{where}self-loop {src}->{dst} is not a valid "
+                             "link")
+        if not (type(src) is int and type(dst) is int
+                and 0 <= src < n and 0 <= dst < n):
+            raise ValueError(
+                f"{where}link {src!r}->{dst!r} names a process other than "
+                f"the ints 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -59,20 +74,13 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("process count must be non-negative")
+        if type(self.n) is not int or not 0 <= self.n <= MAX_PROCESSES:
+            raise ValueError("process count must be an int in "
+                             f"0..{MAX_PROCESSES}, got {self.n!r}")
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
         for j, state in enumerate(states, start=1):
-            for src, dst in state:
-                if src == dst:
-                    raise ValueError(f"round {j}: self-loop {src}->{dst} "
-                                     "is not a valid link")
-                if not (type(src) is int and type(dst) is int
-                        and 0 <= src < self.n and 0 <= dst < self.n):
-                    raise ValueError(
-                        f"round {j}: link {src!r}->{dst!r} names a process "
-                        f"other than the ints 0..{self.n - 1}")
+            _check_links(self.n, state, f"round {j}: ")
         if any(ch.isspace() for ch in self.params):
             raise ValueError("params string must not contain whitespace")
 
@@ -189,24 +197,31 @@ def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     return backbone
 
 
-def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
-                    rng_seed: int) -> Schedule:
-    """Sample ``edges_per_state`` distinct backbone edges per round,
-    independently and uniformly, for ``horizon`` rounds."""
+def computation_rounds(backbone: Backbone, edges_per_state: int,
+                       rng_seed: int) -> Iterator[frozenset]:
+    """A backbone computation's unbounded stream of rounds, each one
+    ``edges_per_state`` distinct backbone links sampled independently and
+    uniformly. The links are checked once, as ``Schedule`` checks rounds."""
     pool = backbone.edges
     if not 1 <= edges_per_state <= len(pool):
         raise ValueError(
             f"edges_per_state must be in 1..{len(pool)}, got {edges_per_state}")
+    _check_links(backbone.n, pool, "backbone: ")
+    sample = random.Random(rng_seed).sample
+    return (frozenset(sample(pool, edges_per_state)) for _ in repeat(None))
+
+
+def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
+                    rng_seed: int) -> Schedule:
+    """The first ``horizon`` rounds of ``computation_rounds``."""
+    rounds = computation_rounds(backbone, edges_per_state, rng_seed)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     _check_caps(horizon=horizon)
-    rng = random.Random(rng_seed)
-    states = [frozenset(rng.sample(pool, edges_per_state))
-              for _ in range(horizon)]
     params = (f"backbone:k={len(backbone.cycle)},m={edges_per_state},"
               f"bseed={backbone.seed}")
-    return Schedule(n=backbone.n, states=tuple(states), params=params,
-                    seed=rng_seed)
+    return Schedule(n=backbone.n, states=tuple(islice(rounds, horizon)),
+                    params=params, seed=rng_seed)
 
 
 def worst_case_schedule(n: int) -> Schedule:

@@ -22,11 +22,15 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from random import Random
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from .adversary import (
+    MAX_HORIZON,
     Schedule,
+    computation_rounds,
     gen_backbone,
     gen_computation,
     load_schedule,
@@ -98,8 +102,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise ConfigError("n must be at least 2")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be positive")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be at least 1")
         if self.min_knot_size < 2:
@@ -188,20 +192,21 @@ class MeanRow:
     excluded: int
 
 
-def _generate(n: int, cycle_size: int, edges_per_round: int, horizon: int,
-              seed: int) -> Schedule:
-    """The backbone computation of one seed: ``Random(seed)`` draws the
+def _seeded_backbone(n: int, cycle_size: int, seed: int) -> tuple:
+    """One seed's backbone and computation seed: ``Random(seed)`` draws the
     backbone's seed, then the computation's."""
     rng = Random(seed)
     backbone = gen_backbone(n, cycle_size, rng.getrandbits(64))
-    return gen_computation(backbone, edges_per_round, horizon,
-                           rng.getrandbits(64))
+    return backbone, rng.getrandbits(64)
 
 
 def _run_cell(task: tuple) -> CellResult:
+    """One cell, stopped at its last decision: the row reads only outputs."""
     n, cycle_size, edges, horizon, min_knot_size, cell_seed = task
-    trace = run(_generate(n, cycle_size, edges, horizon, cell_seed),
-                min_knot_size=min_knot_size)
+    backbone, computation_seed = _seeded_backbone(n, cycle_size, cell_seed)
+    rounds = computation_rounds(backbone, edges, computation_seed)
+    trace = run(SimpleNamespace(n=n, states=islice(rounds, horizon)),
+                min_knot_size=min_knot_size, stop_when_decided=True)
     verdict = verify(trace)
     return CellResult(
         cycle_size=cycle_size,
@@ -312,7 +317,9 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     n, cycle_size, edges_per_round, horizon, seed = (
         default if getattr(args, key) is None else getattr(args, key)
         for key, default in _GENERATOR_DEFAULTS.items())
-    return _generate(n, cycle_size, edges_per_round, horizon, seed)
+    backbone, computation_seed = _seeded_backbone(n, cycle_size, seed)
+    return gen_computation(backbone, edges_per_round, horizon,
+                           computation_seed)
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:

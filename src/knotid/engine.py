@@ -23,6 +23,11 @@ receives, so a round's payload costs one lookup per message. Knot detection
 runs only when a receiver's arc mask grew, the only thing that can change its
 knot set, over an adjacency extended from the new bits.
 
+The loop makes one pass over ``schedule.states``, so any iterable of rounds
+will do. ``stop_when_decided=True`` ends it after the round in which the last
+process decides: outputs are final, so it skips only the later rounds'
+metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
+
 The loop builds no ``TemporalEdge``. ``check_invariants=True`` runs the plain
 ``protocol.on_state`` state machine alongside, on temporal edges the checker
 stamps itself and numbers in the loop's visiting order, and asserts both
@@ -52,7 +57,8 @@ class Trace:
     """Everything observable about one run.
 
     Outputs and observation logs are keyed by process id; ``outputs[p]`` is
-    (knot, round) or None when p never decided within the horizon.
+    (knot, round) or None when p never decided. ``horizon`` counts the rounds
+    executed, one ``round_metrics`` entry each.
     """
 
     n: int
@@ -106,8 +112,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Trace:
-    """Execute a schedule against one process state machine per process."""
+def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
+        stop_when_decided: bool = False) -> Trace:
+    """Execute a schedule against one process state machine per process.
+
+    ``schedule`` needs only ``n`` and ``states``, an iterable of rounds read
+    once. ``stop_when_decided`` ends the run after the round in which every
+    process has decided, skipping the later rounds' metrics and log entries;
+    a run in which some process never decides runs every round.
+    """
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
     arc_ends: List[tuple] = []       # arc id -> (src, dst)
@@ -121,6 +134,7 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
     outputs: list = [None] * n
     metrics: List[RoundMetric] = []
     checker = _ReferenceChecker(n, min_knot_size) if check_invariants else None
+    undecided = n
 
     for round_index, state in enumerate(schedule.states, start=1):
         pre_arcs = known_arcs[:]
@@ -157,16 +171,19 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False) -> Tra
                     log[k] = round_index
                 if outputs[dst] is None:
                     outputs[dst] = (primary_tie_break(fresh), round_index)
+                    undecided -= 1
 
         metrics.append(RoundMetric(round_index, len(state), payload_edges))
         if checker is not None:
             checker.after_round(round_index, state, [
                 (known_edges[pid], tuple(logs[pid].items()), outputs[pid])
                 for pid in range(n)])
+        if stop_when_decided and n and not undecided:
+            break
 
     return Trace(
         n=n,
-        horizon=schedule.horizon,
+        horizon=len(metrics),
         outputs=dict(enumerate(outputs)),
         observation_logs={pid: tuple(log.items())
                           for pid, log in enumerate(logs)},

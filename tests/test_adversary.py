@@ -1,13 +1,18 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotid import (
+    Backbone,
     Knot,
     ObservationGraph,
     Schedule,
     TemporalEdge,
     computation_graph,
+    computation_rounds,
     gen_backbone,
     gen_computation,
     insert_noncomm_states,
@@ -40,6 +45,13 @@ class TestSchedule:
     def test_foreign_process_rejected(self, link):
         with pytest.raises(ValueError, match="round 2"):
             Schedule(3, [[(0, 1)], [link]])
+
+    @pytest.mark.parametrize(
+        "n", [2.5, True, MAX_PROCESSES + 1],
+        ids=["float-n", "bool-n", "n-above-cap"])
+    def test_bad_process_count_rejected(self, n):
+        with pytest.raises(ValueError, match="process count|above its cap"):
+            Schedule(n, [])
 
     def test_params_must_not_contain_whitespace(self):
         with pytest.raises(ValueError):
@@ -128,6 +140,23 @@ class TestGenComputation:
             gen_computation(b, 0, 5, 1)
         with pytest.raises(ValueError):
             gen_computation(b, len(b.edges) + 1, 5, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.data(), st.integers(0, 60),
+           st.integers(0, 2**64))
+    def test_rounds_stream_is_the_schedule(self, n, data, horizon, seed):
+        b = gen_backbone(n, data.draw(st.integers(2, n)), seed)
+        m = data.draw(st.integers(1, len(b.edges)))
+        assert tuple(islice(computation_rounds(b, m, seed), horizon)) \
+            == gen_computation(b, m, horizon, seed).states
+
+    @pytest.mark.parametrize("link", [(2, 2), (0, 6), (0.5, 1)],
+                             ids=["self-loop", "foreign-id", "float-id"])
+    def test_rounds_stream_checks_the_backbone(self, link):
+        b = gen_backbone(6, 3, 1)
+        bad = Backbone(n=6, cycle=b.cycle, tree_edges=b.tree_edges + (link,))
+        with pytest.raises(ValueError, match="backbone: "):
+            computation_rounds(bad, 2, 1)
 
     def test_long_run_covers_the_backbone(self):
         # every backbone edge shows up over 6000 rounds at rate 5 of 100

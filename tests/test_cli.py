@@ -291,6 +291,13 @@ class TestSweepCmd:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_sweep_horizon_above_cap_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--n", "12", "--cycle-sizes", "3",
+                     "--num-seeds", "1", "--horizon", str(10**12),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "horizon must be in 1.." in capsys.readouterr().err
+
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KNOTID_WORKERS", "2")
         out = tmp_path / "env.csv"

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,31 @@ class TestScheduleProperties:
                 entry if entry is not None and entry[1] <= h else None)
             assert prefix.observation_logs[pid] == tuple(
                 (k, r) for k, r in full.observation_logs[pid] if r <= h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_schedules())
+    def test_stopping_at_the_last_decision_keeps_the_outputs(self, schedule):
+        full = run(schedule, check_invariants=True)
+        stopped = run(schedule, check_invariants=True, stop_when_decided=True)
+        last = stopped.horizon
+        assert stopped.outputs == full.outputs
+        assert stopped.round_metrics == full.round_metrics[:last]
+        for pid in range(schedule.n):
+            assert stopped.observation_logs[pid] == tuple(
+                (k, r) for k, r in full.observation_logs[pid] if r <= last)
+        a, b = verify(stopped), verify(full)
+        assert (a.agreement, a.termination, a.knot) \
+            == (b.agreement, b.termination, b.knot)
+        longest = longest_output_time(full)
+        assert last == (schedule.horizon if longest is None else longest)
+
+    def test_stop_reads_rounds_lazily(self):
+        # worst_case_schedule(4) decides at round 7; its rounds followed by
+        # endless empty ones make a computation with no horizon.
+        rounds = chain(worst_case_schedule(4).states, repeat(frozenset()))
+        trace = run(SimpleNamespace(n=4, states=rounds),
+                    stop_when_decided=True)
+        assert trace.horizon == 7 == longest_output_time(trace)
 
     @settings(max_examples=100, deadline=None)
     @given(small_schedules(), st.data())

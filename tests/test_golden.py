@@ -18,6 +18,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
          "--edges-per-round", "1,3", "--horizon", "300", "--num-seeds", "2",
          "--out", "{out}/sweep.csv"]
+# Six cells never decide, and cell k=6, m=3, seed 9 decides at round 40, the
+# horizon: the edges of a sweep's stop at the last decision.
+SWEEP_H40 = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
+             "--edges-per-round", "1,3", "--horizon", "40", "--num-seeds", "3",
+             "--out", "{out}/sweep_h40.csv"]
 WORST_CASE = ["run", "--worst-case", "8", "--out", "{out}/worst_case_8"]
 GENERATED = ["run", "--n", "20", "--cycle-size", "4", "--horizon", "300",
              "--seed", "3", "--out", "{out}/n20_k4_seed3"]
@@ -28,6 +33,7 @@ VERIFY = ["verify", "{out}/disjoint.txt", "--json",
 # golden file -> (command that writes it, its exit code)
 CASES = {
     "sweep.csv": (SWEEP, 0),
+    "sweep_h40.csv": (SWEEP_H40, 1),
     "worst_case_8_trace.csv": (WORST_CASE, 0),
     "worst_case_8_rounds.csv": (WORST_CASE, 0),
     "worst_case_8_diagnostics.jsonl": (WORST_CASE, 0),
@@ -38,9 +44,17 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_bytes(tmp_path, name):
+def _assert_golden(tmp_path, name, argv, code):
     save_schedule(disjoint_two_cycles_schedule(), str(tmp_path / "disjoint.txt"))
-    argv, code = CASES[name]
     assert main([arg.format(out=tmp_path) for arg in argv]) == code
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(tmp_path, name):
+    _assert_golden(tmp_path, name, *CASES[name])
+
+
+def test_worker_pool_sweep_matches_golden_bytes(tmp_path):
+    """Cells run in worker processes draw the same rounds."""
+    _assert_golden(tmp_path, "sweep_h40.csv", SWEEP_H40 + ["--workers", "2"], 1)

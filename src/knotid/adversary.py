@@ -35,7 +35,10 @@ MAX_HORIZON = 100_000
 
 
 def _check_caps(n: int = 0, horizon: int = 0, where: str = "") -> None:
-    """ValueError, prefixed by ``where``, for a value above its cap."""
+    """ValueError, prefixed by ``where``, for a value above its cap or an
+    ``n`` that is not an int of at least 0 (a bool is not)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{where}process count must be an int >= 0: {n!r}")
     for name, value, cap in (("n", n, MAX_PROCESSES),
                              ("horizon", horizon, MAX_HORIZON)):
         if value > cap:
@@ -74,9 +77,7 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or not 0 <= self.n <= MAX_PROCESSES:
-            raise ValueError("process count must be an int in "
-                             f"0..{MAX_PROCESSES}, got {self.n!r}")
+        _check_caps(n=self.n)
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
         for j, state in enumerate(states, start=1):
@@ -201,8 +202,9 @@ def computation_rounds(backbone: Backbone, edges_per_state: int,
                        rng_seed: int) -> Iterator[frozenset]:
     """A backbone computation's unbounded stream of rounds, each one
     ``edges_per_state`` distinct backbone links sampled independently and
-    uniformly. The links are checked once, as ``Schedule`` checks rounds."""
+    uniformly. Its n and links are checked once, as in ``Schedule``."""
     pool = backbone.edges
+    _check_caps(n=backbone.n, where="backbone: ")
     if not 1 <= edges_per_state <= len(pool):
         raise ValueError(
             f"edges_per_state must be in 1..{len(pool)}, got {edges_per_state}")

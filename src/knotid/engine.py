@@ -21,7 +21,9 @@ merges: ints are immutable, so that copy is the whole snapshot. Each
 process's popcount of ``known_edges`` is cached and refreshed only when it
 receives, so a round's payload costs one lookup per message. Knot detection
 runs only when a receiver's arc mask grew, the only thing that can change its
-knot set, over an adjacency extended from the new bits.
+knot set, and once per mask: a per-run memo maps each mask to its knots. It
+is exact because knots ignore stamps, ``min_knot_size`` is fixed, arc ids are
+only appended and masks only grow, so a mask names one arc set all run long.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
@@ -119,7 +121,8 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     ``schedule`` needs only ``n`` and ``states``, an iterable of rounds read
     once. ``stop_when_decided`` ends the run after the round in which every
     process has decided, skipping the later rounds' metrics and log entries;
-    a run in which some process never decides runs every round.
+    a run in which some process never decides runs every round. The knot
+    memo holds one entry per distinct arc set detected in the run.
     """
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
@@ -128,8 +131,7 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     known_arcs = [0] * n
     known_edges = [0] * n
     edge_count = [0] * n             # known_edges[p].bit_count()
-    adjacency: List[dict] = [{} for _ in range(n)]   # projected known arcs
-    nodes = [{pid} for pid in range(n)]
+    knots_of: Dict[int, list] = {}   # arc mask -> knots of that arc set
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
     metrics: List[RoundMetric] = []
@@ -153,19 +155,20 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
 
         for dst in {dst for _, dst in state}:
             edge_count[dst] = known_edges[dst].bit_count()
-            new = known_arcs[dst] & ~pre_arcs[dst]
-            if not new:
+            arcs = known_arcs[dst]
+            if arcs == pre_arcs[dst]:
                 continue
-            outs, seen = adjacency[dst], nodes[dst]
-            for arc in _bits(new):
-                src, to = arc_ends[arc]
-                outs.setdefault(src, set()).add(to)
-                seen.add(src)
-                seen.add(to)
+            knots = knots_of.get(arcs)
+            if knots is None:
+                outs: dict = {}   # every arc endpoint -> its successors
+                for arc in _bits(arcs):
+                    src, to = arc_ends[arc]
+                    outs.setdefault(src, []).append(to)
+                    outs.setdefault(to, [])
+                knots = knots_of[arcs] = knots_from_adjacency(
+                    outs.keys(), outs, min_knot_size)
             log = logs[dst]
-            fresh = [k for k in knots_from_adjacency(sorted(seen), outs,
-                                                     min_knot_size)
-                     if k not in log]
+            fresh = [k for k in knots if k not in log]
             if fresh:
                 for k in fresh:
                     log[k] = round_index

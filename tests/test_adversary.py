@@ -150,12 +150,17 @@ class TestGenComputation:
         assert tuple(islice(computation_rounds(b, m, seed), horizon)) \
             == gen_computation(b, m, horizon, seed).states
 
-    @pytest.mark.parametrize("link", [(2, 2), (0, 6), (0.5, 1)],
-                             ids=["self-loop", "foreign-id", "float-id"])
-    def test_rounds_stream_checks_the_backbone(self, link):
+    @pytest.mark.parametrize(
+        "n, links, problem",
+        [(6, ((2, 2),), "self-loop"), (6, ((0, 6),), "names a process"),
+         (6, ((0.5, 1),), "names a process"), (6.5, (), "process count"),
+         (True, (), "process count"), (MAX_PROCESSES + 1, (), "above its cap")],
+        ids=["self-loop", "foreign-id", "float-id", "float-n", "bool-n",
+             "n-above-cap"])
+    def test_rounds_stream_checks_the_backbone(self, n, links, problem):
         b = gen_backbone(6, 3, 1)
-        bad = Backbone(n=6, cycle=b.cycle, tree_edges=b.tree_edges + (link,))
-        with pytest.raises(ValueError, match="backbone: "):
+        bad = Backbone(n=n, cycle=b.cycle, tree_edges=b.tree_edges + links)
+        with pytest.raises(ValueError, match=f"backbone: .*{problem}"):
             computation_rounds(bad, 2, 1)
 
     def test_long_run_covers_the_backbone(self):

@@ -3,6 +3,7 @@ import random
 from itertools import chain, repeat
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,14 @@ class TestRun:
     def test_worst_case_eight(self):
         t = run(worst_case_schedule(8))
         assert longest_output_time(t) == 15
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_worst_case_detects_each_arc_set_once(self, n, detections):
+        # rounds 1..n each grow the cycle by one arc; every later receiver
+        # gets the whole cycle, an arc set an earlier process already checked
+        t = run(worst_case_schedule(n))
+        assert len(detections) == n
+        assert longest_output_time(t) == 2 * n - 1
 
     def test_fast_and_reference_paths_agree_on_random_schedules(self):
         for seed in range(12):

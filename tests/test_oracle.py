@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from knotid import (
+    Knot,
     ObservationGraph,
     Schedule,
     TemporalEdge,
@@ -83,7 +84,27 @@ def test_backbone_runs_match_oracle(n, cycle_size, seed):
 
 def test_hand_built_schedules_match_oracle():
     assert_matches_oracle(knot_churn_schedule())
-    assert_matches_oracle(worst_case_schedule(32))
+
+
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_worst_case_matches_oracle(n):
+    assert_matches_oracle(worst_case_schedule(n))
+
+
+def test_relay_of_a_destroyed_knot_matches_oracle(detections):
+    # Process 0 logs the knot {0, 1} at round 2; the knot {2, 3} destroys it
+    # at round 5 through the arc 2->0, and process 0 learns the arc 3->0 at
+    # round 6 with nothing fresh to log. At round 7 process 1 gets process
+    # 0's whole arc set, which already holds the arc 0->1, so its mask is
+    # one detected before: a memo hit that must log the surviving knot only.
+    schedule = Schedule(4, [[(0, 1)], [(1, 0)], [(2, 3)], [(3, 2)], [(2, 0)],
+                            [(3, 0)], [(0, 1)]])
+    trace = assert_matches_oracle(schedule)
+    assert len(detections) == 6
+    assert trace.observation_logs[0] == ((Knot((0, 1)), 2), (Knot((2, 3)), 5))
+    assert trace.observation_logs[1] == ((Knot((2, 3)), 7),)
+    assert trace.outputs[1] == (Knot((2, 3)), 7)
+    run(schedule, check_invariants=True)
 
 
 @settings(max_examples=150, deadline=None)

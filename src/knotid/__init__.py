@@ -42,10 +42,8 @@ from .graph import (
     reachability_knots,
 )
 from .protocol import (
-    Message,
     ProcessState,
     decide_consensus,
-    make_message,
     on_state,
 )
 

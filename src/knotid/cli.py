@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .adversary import (
     MAX_HORIZON,
+    MAX_PROCESSES,
     Schedule,
     computation_rounds,
     gen_backbone,
@@ -71,8 +72,9 @@ def parse_int_list(text: str) -> Tuple[int, ...]:
                 step = int(parts[2]) if len(parts) == 3 else 1
             except ValueError as exc:
                 raise ConfigError(f"bad range {item!r}: {exc}") from exc
-            if step <= 0 or stop < start:
-                raise ConfigError(f"bad range {item!r}")
+            if step <= 0 or not 0 <= start <= stop <= MAX_PROCESSES:
+                raise ConfigError(f"bad range {item!r}, want step >= 1 and "
+                                  f"0 <= start <= stop <= {MAX_PROCESSES}")
             values.extend(range(start, stop + 1, step))
         else:
             try:

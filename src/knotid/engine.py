@@ -17,13 +17,13 @@ not n².
 visits each round's ``(src, dst)`` links; it feeds only the payload metric
 and the reference checker. A receipt is ``known[dst] |= pre[src] |
 bit(link)`` where ``pre`` is the list of masks copied before the round's
-merges: ints are immutable, so that copy is the whole snapshot. Each
-process's popcount of ``known_edges`` is cached and refreshed only when it
-receives, so a round's payload costs one lookup per message. Knot detection
-runs only when a receiver's arc mask grew, the only thing that can change its
-knot set, and once per mask: a per-run memo maps each mask to its knots. It
-is exact because knots ignore stamps, ``min_knot_size`` is fixed, arc ids are
-only appended and masks only grow, so a mask names one arc set all run long.
+merges: ints are immutable, so that copy is the whole snapshot, and a
+message's payload is the popcount of its sender's ``pre`` edge mask. Knot
+detection runs only when a receiver's arc mask grew, the only thing that
+can change its knot set, and once per mask: a per-run memo maps each mask
+to its knots. It is exact because knots ignore stamps, ``min_knot_size`` is
+fixed, arc ids are only appended and masks only grow, so a mask names one
+arc set all run long.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
@@ -34,7 +34,8 @@ The loop builds no ``TemporalEdge``. ``check_invariants=True`` runs the plain
 ``protocol.on_state`` state machine alongside, on temporal edges the checker
 stamps itself and numbers in the loop's visiting order, and asserts both
 agree round by round (and that every local graph stays inside the
-computation graph); use it for small schedules.
+computation graph); use it for small schedules. ``on_state`` finds knots
+with ``reachability_knots``, so the two sides share no knot code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from .graph import Knot, TemporalEdge, knots_from_adjacency
-from .protocol import ProcessState, make_message, on_state, primary_tie_break
+from .protocol import ProcessState, on_state, primary_tie_break
 
 
 class RoundMetric(NamedTuple):
@@ -124,13 +125,14 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     a run in which some process never decides runs every round. The knot
     memo holds one entry per distinct arc set detected in the run.
     """
+    if min_knot_size < 2:
+        raise ValueError("min_size must be at least 2")
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
     arc_ends: List[tuple] = []       # arc id -> (src, dst)
     edge_total = 0                   # next temporal-edge id
     known_arcs = [0] * n
     known_edges = [0] * n
-    edge_count = [0] * n             # known_edges[p].bit_count()
     knots_of: Dict[int, list] = {}   # arc mask -> knots of that arc set
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
@@ -151,10 +153,9 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
             known_arcs[dst] |= pre_arcs[src] | 1 << arc
             known_edges[dst] |= pre_edges[src] | 1 << edge_total
             edge_total += 1
-            payload_edges += edge_count[src]
+            payload_edges += pre_edges[src].bit_count()
 
         for dst in {dst for _, dst in state}:
-            edge_count[dst] = known_edges[dst].bit_count()
             arcs = known_arcs[dst]
             if arcs == pre_arcs[dst]:
                 continue
@@ -196,8 +197,8 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
 
 class _ReferenceChecker:
     """Runs the plain per-process state machine in lockstep with the fast
-    loop and asserts they never diverge. Quadratic in graph size; meant for
-    small schedules under test."""
+    loop and asserts they never diverge. A reachability search per known
+    process on every receipt; meant for small schedules under test."""
 
     def __init__(self, n: int, min_knot_size: int) -> None:
         self.min_knot_size = min_knot_size
@@ -211,13 +212,12 @@ class _ReferenceChecker:
         pid; ``state`` is the round's links, visited in the loop's order."""
         edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
         self.edge_by_id.extend(edges)
-        messages = {e.src: make_message(self.states[e.src]) for e in edges}
+        payloads = {e.src: self.states[e.src].lg for e in edges}
         by_dst: Dict[int, list] = {}
         for e in edges:
             by_dst.setdefault(e.dst, []).append(e)
         for dst, in_edges in by_dst.items():
-            incoming = [(messages[e.src], e)
-                        for e in sorted(in_edges, key=lambda e: e.src)]
+            incoming = [(payloads[e.src], e) for e in in_edges]
             self.states[dst] = on_state(self.states[dst], incoming,
                                         round_index, self.min_knot_size)
         for e in edges:

@@ -9,8 +9,8 @@ destroys it.
 
 Two knot finders are provided on purpose. ``find_knots`` splits the graph
 into its SCCs and keeps the components no arc enters; ``reachability_knots``
-is a deliberately naive per-node reachability check kept structurally
-independent so the two can cross-validate each other.
+is a deliberately naive per-node reachability check, kept independent so
+the two can cross-validate each other; it is also ``on_state``'s detector.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ link, merges whatever arrives (payloads plus the incoming links themselves),
 and outputs the first knot it completes. Output is write-once; the process
 keeps relaying forever afterwards so information still spreads to others.
 
-Message payloads use snapshot semantics: a message sent in round i carries
-the sender's observation graph as of the end of round i-1, so information
-never hops across two links of the same round. The receiver additionally
-records the link the message arrived on, stamped with the current round;
-senders learn nothing, not even the receiver's identity.
+Receipts are ``(payload, in_edge)`` pairs with snapshot semantics: a
+message sent in round i carries the sender's observation graph as of the
+end of round i-1, so information never hops across two links of the same
+round. The in_edge is the link it arrived on, stamped with the current
+round; senders learn nothing, not even the receiver's identity. Knots are
+found by ``reachability_knots``, sharing no code with the engine's detector.
 """
 
 from __future__ import annotations
@@ -21,17 +22,9 @@ from .graph import (
     Knot,
     ObservationGraph,
     ProcessId,
-    find_knots,
     merge_all,
+    reachability_knots,
 )
-
-
-@dataclass(frozen=True)
-class Message:
-    """A sender's observation-graph snapshot, addressed by the engine."""
-
-    payload: ObservationGraph
-    sender: ProcessId
 
 
 @dataclass(frozen=True)
@@ -53,16 +46,6 @@ class ProcessState:
         return cls(self_id=pid, lg=ObservationGraph.from_edges((), extra_nodes=(pid,)))
 
 
-def make_message(p: ProcessState) -> Message:
-    """Snapshot p's observation graph for sending.
-
-    Must be called before ``on_state`` applies the current round's receipts,
-    so the payload reflects the end of the previous round. The same payload
-    goes out on every outgoing link of the round.
-    """
-    return Message(payload=p.lg, sender=p.self_id)
-
-
 def primary_tie_break(knots: Iterable[Knot]) -> Knot:
     """Pick one knot from several observed in the same round: smallest by
     (size, member list). Any fixed rule would do; this one is total and
@@ -74,30 +57,31 @@ def on_state(p: ProcessState, incoming: Sequence, round_index: int,
              min_knot_size: int = 2) -> ProcessState:
     """Apply one round's receipts: merge, detect knots, maybe decide.
 
-    ``incoming`` is a sequence of (Message, in_edge) pairs where each in_edge
-    is the link the message arrived on, stamped with ``round_index``. With no
-    receipts the state is returned unchanged (the graph only grows on
-    receipt, so there is nothing new to detect).
+    ``incoming`` holds (payload, in_edge) pairs: in_edge is the link the
+    message arrived on, stamped with ``round_index``; payload is the
+    sender's ``lg`` before any of this round's receipts is applied, the same
+    on each of its links. With no receipts the state is returned unchanged
+    (the graph only grows on receipt, so there is nothing new to detect).
     """
     if not incoming:
         return p
-    for msg, in_edge in incoming:
+    for payload, in_edge in incoming:
         if in_edge.dst != p.self_id:
             raise ValueError(
                 f"engine bug: in-edge {in_edge} delivered to process {p.self_id}")
         if in_edge.state != round_index:
             raise ValueError(
                 f"engine bug: in-edge {in_edge} applied in round {round_index}")
-        for e in msg.payload.edges:
+        for e in payload.edges:
             if e.state >= round_index:
                 raise ValueError(
                     f"engine bug: payload edge {e} is not a pre-round snapshot")
 
     in_edge_graph = ObservationGraph.from_edges(edge for _, edge in incoming)
-    lg = merge_all([p.lg, in_edge_graph, *(msg.payload for msg, _ in incoming)])
+    lg = merge_all([p.lg, in_edge_graph, *(payload for payload, _ in incoming)])
 
     known = {k for k, _ in p.observation_log}
-    fresh = [k for k in find_knots(lg, min_knot_size) if k not in known]
+    fresh = [k for k in reachability_knots(lg, min_knot_size) if k not in known]
     log = p.observation_log + tuple((k, round_index) for k in fresh)
 
     output = p.output

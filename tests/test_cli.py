@@ -34,6 +34,8 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_int_list("5:2")
         with pytest.raises(ConfigError):
+            parse_int_list("-1:3")
+        with pytest.raises(ConfigError):
             parse_int_list("")
 
     def test_flags_override_file(self):
@@ -84,6 +86,15 @@ class TestGenRun:
         save_schedule(Schedule(3, [[], [], []]), str(path))
         code = main(["run", str(path), "--out", str(tmp_path / "e")])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_min_knot_size_below_two_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # where run writes its default files
+        save_schedule(Schedule(3, [[]]), "empty.txt")
+        assert main([command, "empty.txt", "--min-knot-size", "1"]) == 2
+        assert "at least 2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
 
     def test_run_writes_all_three_files(self, tmp_path):
         main(["run", "--worst-case", "4", "--out", str(tmp_path / "t")])
@@ -290,6 +301,19 @@ class TestSweepCmd:
         code = main(["sweep", "--n", "5", "--cycle-sizes", "10",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sweep_range_is_bounded_before_it_is_expanded(
+            self, tmp_path, capsys, source):
+        huge = f"2:{2 ** 62}"  # a list this long cannot be allocated
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n = 12\ncycle_sizes = {huge}\n")
+        given = (["--n", "12", "--cycle-sizes", huge] if source == "flag"
+                 else ["--config", str(cfg)])
+        code = main(["sweep", *given, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "bad range" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_horizon_above_cap_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--n", "12", "--cycle-sizes", "3",

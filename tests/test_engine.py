@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knotid import graph
 from knotid import (
     Knot,
     Schedule,
@@ -60,6 +61,25 @@ class TestRun:
         assert len(detections) == n
         assert longest_output_time(t) == 2 * n - 1
 
+    def test_min_knot_size_below_two_is_rejected_before_any_round(self):
+        def unread():
+            raise AssertionError("a round was read")
+            yield
+
+        for schedule in (Schedule(3, [[]]),
+                         SimpleNamespace(n=3, states=unread())):
+            with pytest.raises(ValueError, match="at least 2"):
+                run(schedule, min_knot_size=1)
+
+    def test_lockstep_shares_no_knot_code_with_the_engine(
+            self, churn_schedule, monkeypatch):
+        # a Tarjan pass that never merges nodes hides every knot from the
+        # engine; the reference finds them by reachability and diverges
+        monkeypatch.setattr(graph, "_strongly_connected_components",
+                            lambda nodes, adjacency: [[v] for v in nodes])
+        with pytest.raises(AssertionError, match="logs diverged"):
+            run(churn_schedule, check_invariants=True)
+
     def test_fast_and_reference_paths_agree_on_random_schedules(self):
         for seed in range(12):
             rng = random.Random(seed)
@@ -79,17 +99,16 @@ class TestRun:
     def test_outputs_are_sound_against_lg_at_output_round(self, churn_schedule):
         # drive the pure state machine by hand and check every decision is a
         # knot of that process's own graph at the moment it was made
-        from knotid import (ProcessState, TemporalEdge, find_knots,
-                            make_message, on_state)
+        from knotid import ProcessState, TemporalEdge, find_knots, on_state
         states = {pid: ProcessState.fresh(pid) for pid in range(churn_schedule.n)}
         for round_index, state in enumerate(churn_schedule.states, start=1):
             edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
-            messages = {e.src: make_message(states[e.src]) for e in edges}
+            payloads = {e.src: states[e.src].lg for e in edges}
             by_dst = {}
             for e in edges:
                 by_dst.setdefault(e.dst, []).append(e)
             for dst, in_edges in by_dst.items():
-                incoming = [(messages[e.src], e)
+                incoming = [(payloads[e.src], e)
                             for e in sorted(in_edges, key=lambda e: e.src)]
                 before = states[dst].output
                 states[dst] = on_state(states[dst], incoming, round_index)

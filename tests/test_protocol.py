@@ -2,12 +2,10 @@ import pytest
 
 from knotid import (
     Knot,
-    Message,
     ObservationGraph,
     ProcessState,
     TemporalEdge,
     decide_consensus,
-    make_message,
     on_state,
 )
 from knotid.protocol import primary_tie_break
@@ -20,20 +18,7 @@ def graph_of(*triples, extra_nodes=()):
 
 def deliver(state, payload, src, round_index, min_knot_size=2):
     edge = TemporalEdge(src, state.self_id, round_index)
-    return on_state(state, [(Message(payload, src), edge)], round_index,
-                    min_knot_size)
-
-
-class TestMakeMessage:
-    def test_fresh_process_sends_empty_payload(self):
-        msg = make_message(ProcessState.fresh(3))
-        assert msg.sender == 3
-        assert msg.payload.edges == frozenset()
-
-    def test_payload_is_current_graph_snapshot(self):
-        lg = graph_of((0, 1, 1), extra_nodes=(1,))
-        p = ProcessState(self_id=1, lg=lg)
-        assert make_message(p).payload == lg
+    return on_state(state, [(payload, edge)], round_index, min_knot_size)
 
 
 class TestOnState:
@@ -45,20 +30,20 @@ class TestOnState:
         p = ProcessState.fresh(2)
         bad = TemporalEdge(0, 1, 5)
         with pytest.raises(ValueError):
-            on_state(p, [(Message(ObservationGraph(), 0), bad)], 5)
+            on_state(p, [(ObservationGraph(), bad)], 5)
 
     def test_in_edge_must_carry_current_round(self):
         p = ProcessState.fresh(2)
         stale = TemporalEdge(0, 2, 4)
         with pytest.raises(ValueError):
-            on_state(p, [(Message(ObservationGraph(), 0), stale)], 5)
+            on_state(p, [(ObservationGraph(), stale)], 5)
 
     def test_payload_must_be_a_pre_round_snapshot(self):
         p = ProcessState.fresh(2)
         payload = graph_of((0, 1, 5))  # stamped with the current round
         edge = TemporalEdge(0, 2, 5)
         with pytest.raises(ValueError):
-            on_state(p, [(Message(payload, 0), edge)], 5)
+            on_state(p, [(payload, edge)], 5)
 
     def test_cycle_payload_completes_a_knot(self):
         # the bystander receives the full 3-cycle and the link it came on

@@ -33,12 +33,10 @@ from .engine import (
 )
 from .graph import (
     Knot,
-    ObservationGraph,
     ProcessId,
     TemporalEdge,
     computation_graph,
     find_knots,
-    merge_all,
     reachability_knots,
 )
 from .protocol import (

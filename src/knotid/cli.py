@@ -49,6 +49,8 @@ from .engine import (
 )
 
 WORKERS_ENV = "KNOTID_WORKERS"
+# Sweep cells held at once: about 0.3 KiB each, 2.2 KiB with --workers > 1.
+MAX_SWEEP_CELLS = 100_000
 
 
 class ConfigError(Exception):
@@ -108,6 +110,10 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be at least 1")
+        cells = len(self.cycle_sizes) * len(self.edges_per_round) * self.num_seeds
+        if cells > MAX_SWEEP_CELLS:
+            raise ConfigError(f"sweep grid of {cells} cells exceeds the cap "
+                              f"of {MAX_SWEEP_CELLS}")
         if self.min_knot_size < 2:
             raise ConfigError("min_knot_size must be at least 2")
         if self.workers < 1:
@@ -144,7 +150,10 @@ def read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                raw[key] = value
+                try:
+                    raw[key] = _config_value(key, value)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
@@ -154,23 +163,27 @@ _INT_KEYS = {"n", "horizon", "num_seeds", "base_seed", "min_knot_size", "workers
 _LIST_KEYS = {"cycle_sizes", "edges_per_round"}
 
 
+def _config_value(key: str, value):
+    """Check a config key; convert a text value to its field's type."""
+    if key not in {f.name for f in fields(ExperimentConfig)}:
+        raise ConfigError(f"unknown config key {key!r}")
+    if key in _LIST_KEYS and isinstance(value, str):
+        return parse_int_list(value)
+    if key in _INT_KEYS and isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad integer for {key}: {value!r}") from exc
+    return value
+
+
 def config_from_sources(file_values: dict, flag_values: dict) -> ExperimentConfig:
     """Build a config from a file, then let explicit flags override it."""
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     for key, value in merged.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in _LIST_KEYS and isinstance(value, str):
-            value = parse_int_list(value)
-        elif key in _INT_KEYS and isinstance(value, str):
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-        cfg = replace(cfg, **{key: value})
+        cfg = replace(cfg, **{key: _config_value(key, value)})
     cfg.validate()
     return cfg
 

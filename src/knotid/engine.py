@@ -32,10 +32,11 @@ metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
 
 The loop builds no ``TemporalEdge``. ``check_invariants=True`` runs the plain
 ``protocol.on_state`` state machine alongside, on temporal edges the checker
-stamps itself and numbers in the loop's visiting order, and asserts both
-agree round by round (and that every local graph stays inside the
-computation graph); use it for small schedules. ``on_state`` finds knots
-with ``reachability_knots``, so the two sides share no knot code.
+stamps itself and numbers in the loop's visiting order. Each round it asserts
+that every local graph, a frozenset of temporal edges, equals the decoded edge
+mask and lies inside the computation graph, and that logs and outputs agree;
+no node set is kept, as a lone node is never a knot. Use it for small
+schedules. Its knots come from ``reachability_knots``, not the loop's Tarjan.
 """
 
 from __future__ import annotations
@@ -205,7 +206,6 @@ class _ReferenceChecker:
         self.states = {pid: ProcessState.fresh(pid) for pid in range(n)}
         self.edge_by_id: List[TemporalEdge] = []  # the loop's edge ids
         self.union_edges: set = set()
-        self.union_nodes: set = set()
 
     def after_round(self, round_index: int, state, fast: list) -> None:
         """``fast[pid]`` is the loop's (temporal-edge mask, log, output) for
@@ -220,14 +220,11 @@ class _ReferenceChecker:
             incoming = [(payloads[e.src], e) for e in in_edges]
             self.states[dst] = on_state(self.states[dst], incoming,
                                         round_index, self.min_knot_size)
-        for e in edges:
-            self.union_edges.add(e)
-            self.union_nodes.add(e.src)
-            self.union_nodes.add(e.dst)
+        self.union_edges.update(edges)
 
         for pid, ref in self.states.items():
             mask, log, output = fast[pid]
-            if ref.lg.edges != {self.edge_by_id[i] for i in _bits(mask)}:
+            if ref.lg != {self.edge_by_id[i] for i in _bits(mask)}:
                 raise AssertionError(
                     f"round {round_index}: process {pid} graphs diverged")
             if log != ref.observation_log:
@@ -236,13 +233,9 @@ class _ReferenceChecker:
             if output != ref.output:
                 raise AssertionError(
                     f"round {round_index}: process {pid} outputs diverged")
-            if not ref.lg.edges <= self.union_edges:
+            if not ref.lg <= self.union_edges:
                 raise AssertionError(
                     f"round {round_index}: process {pid} observed edges "
-                    "outside the computation graph")
-            if not (ref.lg.nodes - {pid}) <= self.union_nodes:
-                raise AssertionError(
-                    f"round {round_index}: process {pid} observed nodes "
                     "outside the computation graph")
 
 

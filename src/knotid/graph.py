@@ -5,7 +5,9 @@ present; the same link reappearing in a later round is a distinct event.
 Knot detection ignores the stamps: a knot is a strongly connected component
 of the projected static digraph that has no incoming arcs and at least two
 members. Out-arcs leaving a knot are harmless, a single arc entering it
-destroys it.
+destroys it. A graph, local or whole-computation, is a frozenset of
+temporal edges whose nodes are their endpoints: knot members are strongly
+connected, so a lone node is never a knot.
 
 Two knot finders are provided on purpose. ``find_knots`` splits the graph
 into its SCCs and keeps the components no arc enters; ``reachability_knots``
@@ -39,34 +41,6 @@ class TemporalEdge:
 
 
 @dataclass(frozen=True)
-class ObservationGraph:
-    """An immutable bag of temporal edges plus their incident processes.
-
-    Serves both as a whole-computation union and as a per-process local
-    observation graph; in the latter case ``nodes`` also contains the owner,
-    which may not be incident to any edge yet. Construction normalizes
-    ``nodes`` to always cover every edge endpoint.
-    """
-
-    edges: frozenset = frozenset()
-    nodes: frozenset = frozenset()
-
-    def __post_init__(self) -> None:
-        edges = frozenset(self.edges)
-        nodes = frozenset(self.nodes)
-        endpoints = {e.src for e in edges} | {e.dst for e in edges}
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", edges)
-        if not endpoints <= nodes or not isinstance(self.nodes, frozenset):
-            object.__setattr__(self, "nodes", nodes | endpoints)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[TemporalEdge],
-                   extra_nodes: Iterable[ProcessId] = ()) -> "ObservationGraph":
-        return cls(edges=frozenset(edges), nodes=frozenset(extra_nodes))
-
-
-@dataclass(frozen=True)
 class Knot:
     """At least two processes forming a source SCC of some observation graph.
 
@@ -86,16 +60,6 @@ class Knot:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def merge_all(graphs: Iterable[ObservationGraph]) -> ObservationGraph:
-    """Union of observation graphs (commutative, associative, idempotent)."""
-    edges: set = set()
-    nodes: set = set()
-    for g in graphs:
-        edges |= g.edges
-        nodes |= g.nodes
-    return ObservationGraph(edges=frozenset(edges), nodes=frozenset(nodes))
 
 
 def _strongly_connected_components(nodes: list, adjacency: Mapping) -> list:
@@ -145,10 +109,11 @@ def _strongly_connected_components(nodes: list, adjacency: Mapping) -> list:
 
 
 def _projected_adjacency(edges: Iterable[TemporalEdge]) -> dict:
-    """Collapse temporal parallels: one static arc per (src, dst) pair."""
+    """One static arc per (src, dst) pair; every endpoint is a key."""
     adjacency: dict = {}
     for e in edges:
         adjacency.setdefault(e.src, set()).add(e.dst)
+        adjacency.setdefault(e.dst, set())
     return adjacency
 
 
@@ -173,12 +138,13 @@ def knots_from_adjacency(nodes: Iterable[ProcessId], adjacency: Mapping,
                   key=lambda k: k.members)
 
 
-def find_knots(g: ObservationGraph, min_size: int = 2) -> list:
-    """Every knot of g: source SCCs of the projection with >= min_size members."""
-    return knots_from_adjacency(g.nodes, _projected_adjacency(g.edges), min_size)
+def find_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list:
+    """Every knot: source SCCs of the projection with >= min_size members."""
+    adjacency = _projected_adjacency(edges)
+    return knots_from_adjacency(adjacency.keys(), adjacency, min_size)
 
 
-def reachability_knots(g: ObservationGraph, min_size: int = 2) -> list:
+def reachability_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list:
     """Brute-force knot finder used as an independent oracle.
 
     Computes a full reachability set per node. A node belongs to a knot
@@ -190,10 +156,11 @@ def reachability_knots(g: ObservationGraph, min_size: int = 2) -> list:
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
-    nodes = sorted(g.nodes)
-    successors: dict = {p: set() for p in nodes}
-    for e in g.edges:
-        successors[e.src].add(e.dst)
+    successors: dict = {}
+    for e in edges:
+        successors.setdefault(e.src, set()).add(e.dst)
+        successors.setdefault(e.dst, set())
+    nodes = sorted(successors)
 
     def reach_from(start: ProcessId) -> set:
         seen = {start}
@@ -224,7 +191,7 @@ def reachability_knots(g: ObservationGraph, min_size: int = 2) -> list:
     return grouped
 
 
-def computation_graph(schedule, i: int) -> ObservationGraph:
+def computation_graph(schedule, i: int) -> frozenset:
     """Union of the first i states of a schedule, each link stamped with
     its round.
 
@@ -234,7 +201,7 @@ def computation_graph(schedule, i: int) -> ObservationGraph:
     """
     if not 0 <= i <= len(schedule.states):
         raise IndexError(f"state index {i} outside 0..{len(schedule.states)}")
-    return ObservationGraph.from_edges(
+    return frozenset(
         TemporalEdge(src, dst, j)
         for j, state in enumerate(schedule.states[:i], start=1)
         for src, dst in state)

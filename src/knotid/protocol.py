@@ -9,8 +9,9 @@ Receipts are ``(payload, in_edge)`` pairs with snapshot semantics: a
 message sent in round i carries the sender's observation graph as of the
 end of round i-1, so information never hops across two links of the same
 round. The in_edge is the link it arrived on, stamped with the current
-round; senders learn nothing, not even the receiver's identity. Knots are
-found by ``reachability_knots``, sharing no code with the engine's detector.
+round; senders learn nothing, not even the receiver's identity. A graph is
+a frozenset of temporal edges, merged by set union (a lone node is no knot).
+``reachability_knots`` finds knots, sharing no code with the engine's detector.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import (
-    Knot,
-    ObservationGraph,
-    ProcessId,
-    merge_all,
-    reachability_knots,
-)
+from .graph import Knot, ProcessId, reachability_knots
 
 
 @dataclass(frozen=True)
@@ -37,13 +32,13 @@ class ProcessState:
     """
 
     self_id: ProcessId
-    lg: ObservationGraph
+    lg: frozenset = frozenset()
     output: Optional[tuple] = None
     observation_log: tuple = ()
 
     @classmethod
     def fresh(cls, pid: ProcessId) -> "ProcessState":
-        return cls(self_id=pid, lg=ObservationGraph.from_edges((), extra_nodes=(pid,)))
+        return cls(self_id=pid)
 
 
 def primary_tie_break(knots: Iterable[Knot]) -> Knot:
@@ -72,13 +67,12 @@ def on_state(p: ProcessState, incoming: Sequence, round_index: int,
         if in_edge.state != round_index:
             raise ValueError(
                 f"engine bug: in-edge {in_edge} applied in round {round_index}")
-        for e in payload.edges:
+        for e in payload:
             if e.state >= round_index:
                 raise ValueError(
                     f"engine bug: payload edge {e} is not a pre-round snapshot")
 
-    in_edge_graph = ObservationGraph.from_edges(edge for _, edge in incoming)
-    lg = merge_all([p.lg, in_edge_graph, *(payload for payload, _ in incoming)])
+    lg = p.lg.union(*(payload | {edge} for payload, edge in incoming))
 
     known = {k for k, _ in p.observation_log}
     fresh = [k for k in reachability_knots(lg, min_knot_size) if k not in known]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -338,6 +339,65 @@ class TestSweepCmd:
         assert [c.seed for c in cells] == [100, 101, 102, 103]
 
 
+SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3", "--edges-per-round", "1",
+         "--horizon", "10", "--num-seeds", "1", "--out", "x.csv"]
+CONFIG = ["sweep", "--config", "exp.cfg", "--out", "x.csv"]
+
+
+class TestUsageErrors:
+    """Bad flags and config files exit 2 before any cell runs or any file is
+    written; config file errors name the file and line."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        ([*SWEEP, "--n", "1"], None, "n must be at least 2"),
+        ([*SWEEP, "--num-seeds", "0"], None, "num_seeds must be at least 1"),
+        ([*SWEEP, "--min-knot-size", "1"], None,
+         "min_knot_size must be at least 2"),
+        ([*SWEEP, "--workers", "0"], None, "workers must be at least 1"),
+        ([*SWEEP, "--edges-per-round", "13"], None,
+         "edges per round 13 outside 1..12"),
+        ([*SWEEP, "--cycle-sizes", "2:4:1:1"], None, "bad range '2:4:1:1'"),
+        ([*SWEEP, "--cycle-sizes", "2:x"], None, "bad range '2:x'"),
+        ([*SWEEP, "--num-seeds", "1000000000"], None,
+         "sweep grid of 1000000000 cells exceeds the cap of 100000"),
+        ([*SWEEP, "--n", "10000", "--cycle-sizes", "2:10000",
+          "--edges-per-round", "1:10000"], None,
+         "sweep grid of 99990000 cells exceeds the cap of 100000"),
+        (["sweep", "--config", ".", "--out", "x.csv"], None,
+         "cannot read config file ."),
+        (CONFIG, "n = 12\nhorizon 10\n", "exp.cfg:2: expected key=value"),
+        (CONFIG, "n = 12\n\nn = abc\n", "exp.cfg:3: bad integer for n: 'abc'"),
+        (CONFIG, "# grid\nbogus = 1\n", "exp.cfg:2: unknown config key 'bogus'"),
+        (CONFIG, "n = 12\ncycle_sizes = 1:\n", "exp.cfg:2: bad range '1:'"),
+        (["run", "--worst-case", "1", "--out", "x"], None,
+         "--worst-case needs at least 2 processes"),
+    ], ids=["n", "num-seeds", "min-knot-size", "workers", "edges-per-round",
+            "range-parts", "range-int", "cells-seeds", "cells-ranges",
+            "config-unreadable", "config-no-equals", "config-int",
+            "config-key", "config-range", "worst-case-1"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                        argv, config, message):
+        monkeypatch.chdir(tmp_path)
+
+        def no_sweep(cfg):
+            raise AssertionError("a rejected sweep reached its cells")
+
+        monkeypatch.setattr("knotid.cli.run_sweep", no_sweep)
+        if config is not None:
+            (tmp_path / "exp.cfg").write_text(config)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert peak < 8 * 2**20  # the grid is refused, not built
+        assert [p.name for p in tmp_path.iterdir()] \
+            == ([] if config is None else ["exp.cfg"])
+
+
 # ``python -m`` puts its working directory first on sys.path, so running it
 # here starts the same knotid sources the tests imported, with no PYTHONPATH.
 PACKAGE_ROOT = Path(knotid.__file__).resolve().parents[1]
@@ -345,12 +405,14 @@ PACKAGE_ROOT = Path(knotid.__file__).resolve().parents[1]
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "knotid", "run", "--worst-case", "5",
-             "--out", str(tmp_path / "m")],
-            capture_output=True, text=True, cwd=PACKAGE_ROOT)
-        assert result.returncode == 0
-        assert "longest output round: 9" in result.stdout
+        for n in (5, 4):
+            result = subprocess.run(
+                [sys.executable, "-m", "knotid", "run", "--worst-case", str(n),
+                 "--out", str(tmp_path / f"m{n}")],
+                capture_output=True, text=True, cwd=PACKAGE_ROOT)
+            assert result.returncode == 0
+            assert f"longest output round: {2 * n - 1}" in result.stdout
+            assert (tmp_path / f"m{n}_trace.csv").exists()
 
     def test_usage_error_exit_code(self):
         result = subprocess.run(

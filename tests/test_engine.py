@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotid import graph
+from knotid import engine, graph
 from knotid import (
     Knot,
     Schedule,
@@ -80,6 +80,26 @@ class TestRun:
         with pytest.raises(AssertionError, match="logs diverged"):
             run(churn_schedule, check_invariants=True)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda mask, log, output: (mask ^ 1, log, output), "graphs diverged"),
+        (lambda mask, log, output: (mask, log, (Knot((0, 1)), 1)),
+         "outputs diverged"),
+    ], ids=["graph", "output"])
+    def test_lockstep_names_what_diverged(self, churn_schedule, monkeypatch,
+                                          corrupt, message):
+        # corrupt process 0's fast-side entry in the last round only
+        after_round = engine._ReferenceChecker.after_round
+
+        def corrupted(self, round_index, state, fast):
+            if round_index == churn_schedule.horizon:
+                fast = [corrupt(*fast[0]), *fast[1:]]
+            after_round(self, round_index, state, fast)
+
+        monkeypatch.setattr(engine._ReferenceChecker, "after_round", corrupted)
+        with pytest.raises(AssertionError,
+                           match=f"round 13: process 0 {message}"):
+            run(churn_schedule, check_invariants=True)
+
     def test_fast_and_reference_paths_agree_on_random_schedules(self):
         for seed in range(12):
             rng = random.Random(seed)
@@ -138,7 +158,7 @@ class TestRun:
         t = run(churn_schedule)
         for metric in t.round_metrics:
             bound = metric.messages * len(
-                computation_graph(churn_schedule, metric.round - 1).edges)
+                computation_graph(churn_schedule, metric.round - 1))
             assert metric.payload_edges <= bound
 
     def test_message_counts_match_links(self, churn_schedule):

@@ -6,20 +6,17 @@ from hypothesis import strategies as st
 
 from knotid import (
     Knot,
-    ObservationGraph,
     TemporalEdge,
     computation_graph,
     find_knots,
-    merge_all,
     reachability_knots,
 )
 from knotid.graph import _strongly_connected_components
 from util import knot_churn_schedule, random_digraph
 
 
-def graph_of(*triples, extra_nodes=()):
-    return ObservationGraph.from_edges(
-        (TemporalEdge(s, d, t) for s, d, t in triples), extra_nodes=extra_nodes)
+def graph_of(*triples):
+    return frozenset(TemporalEdge(s, d, t) for s, d, t in triples)
 
 
 @st.composite
@@ -30,7 +27,7 @@ def observation_graphs(draw, max_nodes=7):
     stamps = draw(st.lists(st.integers(min_value=0, max_value=9),
                            min_size=len(chosen), max_size=len(chosen)))
     edges = [TemporalEdge(s, d, t) for (s, d), t in zip(chosen, stamps)]
-    return ObservationGraph.from_edges(edges, extra_nodes=range(n))
+    return frozenset(edges)
 
 
 class TestTypes:
@@ -48,14 +45,6 @@ class TestTypes:
         assert TemporalEdge(1, 2, 3) == TemporalEdge(1, 2, 3)
         assert TemporalEdge(1, 2, 3) != TemporalEdge(1, 2, 4)
 
-    def test_nodes_cover_endpoints(self):
-        g = ObservationGraph(edges={TemporalEdge(1, 2, 0)}, nodes=frozenset())
-        assert g.nodes == {1, 2}
-
-    def test_owner_node_kept(self):
-        g = ObservationGraph.from_edges((), extra_nodes=(7,))
-        assert g.nodes == {7} and g.edges == frozenset()
-
     def test_knot_canonical_and_set_equality(self):
         assert Knot((3, 1, 2)).members == (1, 2, 3)
         assert Knot((3, 1, 2)) == Knot((1, 2, 3))
@@ -66,43 +55,23 @@ class TestTypes:
             Knot((5,))
 
 
+def nodes_of(g):
+    """The nodes of g: the endpoints of its edges."""
+    return {v for e in g for v in (e.src, e.dst)}
+
+
 def projection(g):
     """Static adjacency of g: node -> set of successors, stamps dropped."""
     adjacency = {}
-    for e in g.edges:
+    for e in g:
         adjacency.setdefault(e.src, set()).add(e.dst)
     return adjacency
 
 
 def components_of(g):
     """g's SCCs as found by the Tarjan behind ``find_knots``, canonical."""
-    raw = _strongly_connected_components(sorted(g.nodes), projection(g))
+    raw = _strongly_connected_components(sorted(nodes_of(g)), projection(g))
     return sorted(tuple(sorted(c)) for c in raw)
-
-
-class TestMerge:
-    def test_identity(self):
-        g = graph_of((1, 2, 1))
-        assert merge_all([g, ObservationGraph()]) == g
-        assert merge_all([g]) == g
-
-    def test_idempotent(self):
-        g = graph_of((1, 2, 1), (2, 3, 2))
-        assert merge_all([g, g]) == g
-
-    def test_disjoint_union(self):
-        got = merge_all([graph_of((0, 1, 1)), graph_of((1, 2, 2))])
-        assert got == graph_of((0, 1, 1), (1, 2, 2))
-        assert got.nodes == {0, 1, 2}
-
-    @settings(max_examples=60)
-    @given(observation_graphs(), observation_graphs(), observation_graphs())
-    def test_semilattice_join(self, a, b, c):
-        assert merge_all([a, b]) == merge_all([b, a])
-        assert (merge_all([merge_all([a, b]), c])
-                == merge_all([a, merge_all([b, c])]))
-        assert merge_all([a, a]) == a
-        assert merge_all([a, b, c]) == merge_all([merge_all([a, b]), c])
 
 
 class TestCondense:
@@ -111,8 +80,8 @@ class TestCondense:
     ``_strongly_connected_components`` itself."""
 
     def test_empty(self):
-        assert components_of(ObservationGraph()) == []
-        assert find_knots(ObservationGraph()) == []
+        assert components_of(frozenset()) == []
+        assert find_knots(frozenset()) == []
 
     def test_cycle_is_one_component(self):
         g = graph_of((0, 1, 5), (1, 2, 1), (2, 0, 9))
@@ -123,11 +92,11 @@ class TestCondense:
         g = computation_graph(knot_churn_schedule(), 7)
         assert components_of(g) == [(0, 1, 2, 3), (4,)]
         # the only arc between the two components leaves the knot
-        crossing = {(e.src, e.dst) for e in g.edges
+        crossing = {(e.src, e.dst) for e in g
                     if (e.src == 4) != (e.dst == 4)}
         assert crossing == {(3, 4)}
         assert find_knots(g) == [Knot((0, 1, 2, 3))]
-        entered = merge_all([g, graph_of((5, 0, 8))])  # an arc into the knot
+        entered = g | graph_of((5, 0, 8))  # an arc into the knot
         assert find_knots(entered) == []
 
     @settings(max_examples=100)
@@ -144,18 +113,19 @@ class TestCondense:
                         frontier.append(w)
             return seen
 
-        reach = {v: reach_from(v) for v in g.nodes}
+        nodes = nodes_of(g)
+        reach = {v: reach_from(v) for v in nodes}
         got = components_of(g)
         seen = [v for comp in got for v in comp]
-        assert sorted(seen) == sorted(g.nodes)  # disjoint cover
+        assert sorted(seen) == sorted(nodes)  # disjoint cover
         assert len(seen) == len(set(seen))
         for comp in got:  # each is its members' mutual-reachability class
             for v in comp:
-                assert set(comp) == {w for w in g.nodes
+                assert set(comp) == {w for w in nodes
                                      if w in reach[v] and v in reach[w]}
         # component DAG is acyclic: longest-path labelling must terminate
         member_of = {v: i for i, comp in enumerate(got) for v in comp}
-        arcs = {(member_of[e.src], member_of[e.dst]) for e in g.edges
+        arcs = {(member_of[e.src], member_of[e.dst]) for e in g
                 if member_of[e.src] != member_of[e.dst]}
         order = {}
         changed = True
@@ -206,7 +176,7 @@ class TestFindKnots:
     @given(observation_graphs())
     def test_knot_membership_properties(self, g):
         adjacency = {}
-        for e in g.edges:
+        for e in g:
             adjacency.setdefault(e.src, set()).add(e.dst)
 
         def reaches(a, b):
@@ -226,7 +196,7 @@ class TestFindKnots:
             for u in members:
                 for v in members:
                     assert reaches(u, v)
-            for e in g.edges:
+            for e in g:
                 assert not (e.dst in members and e.src not in members)
 
 
@@ -241,7 +211,7 @@ class TestReachabilityKnots:
 
     def test_min_size_validation(self):
         with pytest.raises(ValueError):
-            reachability_knots(ObservationGraph(), min_size=0)
+            reachability_knots(frozenset(), min_size=0)
 
     @settings(max_examples=200)
     @given(observation_graphs(max_nodes=8))
@@ -268,19 +238,19 @@ class TestComputationGraph:
     def test_zero_prefix_is_empty(self):
         s = knot_churn_schedule()
         g = computation_graph(s, 0)
-        assert g.edges == frozenset() and g.nodes == frozenset()
+        assert g == frozenset()
 
     def test_prefixes_are_monotone(self):
         s = knot_churn_schedule()
         for i in range(s.horizon):
             before, after = computation_graph(s, i), computation_graph(s, i + 1)
-            assert before.edges <= after.edges
-            assert before.nodes <= after.nodes
+            assert before <= after
+            assert nodes_of(before) <= nodes_of(after)
 
     def test_through_state_7_contains_both_closing_links(self):
         g = computation_graph(knot_churn_schedule(), 7)
-        assert TemporalEdge(2, 0, 7) in g.edges  # link closing the 4-cycle
-        assert TemporalEdge(0, 1, 6) in g.edges  # the destroying link
+        assert TemporalEdge(2, 0, 7) in g  # link closing the 4-cycle
+        assert TemporalEdge(0, 1, 6) in g  # the destroying link
 
     def test_out_of_range_raises(self):
         s = knot_churn_schedule()

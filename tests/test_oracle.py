@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 
 from knotid import (
     Knot,
-    ObservationGraph,
     Schedule,
     TemporalEdge,
     gen_backbone,
@@ -55,8 +54,7 @@ def journey_run(schedule, min_knot_size: int = 2) -> tuple:
                 continue  # same arcs, same knots, all of them logged
             held[p] = len(arcs)
             logged = {k for k, _ in logs[p]}
-            graph = ObservationGraph.from_edges(arcs, extra_nodes=(p,))
-            fresh = [k for k in reachability_knots(graph, min_knot_size)
+            fresh = [k for k in reachability_knots(arcs, min_knot_size)
                      if k not in logged]
             logs[p].extend((k, r) for k in fresh)
             if fresh and outputs[p] is None:

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from knotid import ObservationGraph, Schedule, TemporalEdge
+from knotid import Schedule, TemporalEdge
 
 # Five processes used by the hand-built scenario below.
 A, B, C, D, E = 0, 1, 2, 3, 4
@@ -45,14 +45,14 @@ def disjoint_two_cycles_schedule() -> Schedule:
         4, [[(0, 1)], [(1, 0)], [(2, 3)], [(3, 2)]], params="disjoint_pair")
 
 
-def random_digraph(rng: random.Random, n: int, p: float) -> ObservationGraph:
+def random_digraph(rng: random.Random, n: int, p: float) -> frozenset:
     """Erdos-Renyi style digraph with arbitrary stamps on the edges."""
     edges = []
     for src in range(n):
         for dst in range(n):
             if src != dst and rng.random() < p:
                 edges.append(TemporalEdge(src, dst, rng.randrange(10)))
-    return ObservationGraph.from_edges(edges, extra_nodes=range(n))
+    return frozenset(edges)
 
 
 @st.composite

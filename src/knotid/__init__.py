@@ -25,6 +25,7 @@ from .engine import (
     Trace,
     Verdict,
     longest_output_time,
+    reference_run,
     run,
     verify,
     write_diagnostics_jsonl,

@@ -49,7 +49,7 @@ from .engine import (
 )
 
 WORKERS_ENV = "KNOTID_WORKERS"
-# Sweep cells held at once: about 0.3 KiB each, 2.2 KiB with --workers > 1.
+# Sweep cells held at once: about 0.3 KiB each, 0.4 KiB with --workers > 1.
 MAX_SWEEP_CELLS = 100_000
 
 
@@ -247,8 +247,9 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[CellResult], List[MeanRow]]:
               cfg.base_seed + g * size + s)
              for g, (k, m) in enumerate(groups) for s in range(size)]
     if cfg.workers > 1:
+        chunk = 1 + len(tasks) // (64 * cfg.workers)  # 64 chunks a worker
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            cells = list(pool.map(_run_cell, tasks, chunksize=chunk))
     else:
         cells = [_run_cell(task) for task in tasks]
 

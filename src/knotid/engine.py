@@ -14,29 +14,28 @@ static arcs gives the union of their projections, so all detection needs is
 in first-seen order, so the mask is as wide as the schedule's distinct arcs,
 not n².
 ``known_edges[p]`` is a mask over temporal-edge ids in the order the loop
-visits each round's ``(src, dst)`` links; it feeds only the payload metric
-and the reference checker. A receipt is ``known[dst] |= pre[src] |
-bit(link)`` where ``pre`` is the list of masks copied before the round's
-merges: ints are immutable, so that copy is the whole snapshot, and a
-message's payload is the popcount of its sender's ``pre`` edge mask. Knot
-detection runs only when a receiver's arc mask grew, the only thing that
-can change its knot set, and once per mask: a per-run memo maps each mask
-to its knots. It is exact because knots ignore stamps, ``min_knot_size`` is
-fixed, arc ids are only appended and masks only grow, so a mask names one
-arc set all run long.
+visits each round's ``(src, dst)`` links; it feeds only the payload metric.
+A receipt is ``known[dst] |= pre[src] | bit(link)`` where ``pre`` is the
+list of masks copied before the round's merges: ints are immutable, so that
+copy is the whole snapshot, and a message's payload is the popcount of its
+sender's ``pre`` edge mask. Knot detection runs only when a receiver's arc
+mask grew, the only thing that can change its knot set, and once per mask:
+a per-run memo maps each mask to its knots. It is exact because knots
+ignore stamps, ``min_knot_size`` is fixed, arc ids are only appended and
+masks only grow, so a mask names one arc set all run long.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
 process decides: outputs are final, so it skips only the later rounds'
 metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
 
-The loop builds no ``TemporalEdge``. ``check_invariants=True`` runs the plain
-``protocol.on_state`` state machine alongside, on temporal edges the checker
-stamps itself and numbers in the loop's visiting order. Each round it asserts
-that every local graph, a frozenset of temporal edges, equals the decoded edge
-mask and lies inside the computation graph, and that logs and outputs agree;
-no node set is kept, as a lone node is never a knot. Use it for small
-schedules. Its knots come from ``reachability_knots``, not the loop's Tarjan.
+``reference_run`` is the same run by the plain per-process state machine:
+each round it hands every receiver its ``(pre-round lg, TemporalEdge)``
+receipts through ``protocol.on_state``, whose knots come from
+``reachability_knots``, not the loop's Tarjan. It returns a ``Trace`` built
+the same way, so ``run(s) == reference_run(s)`` checks outputs, logs and
+every round's metrics at once. It keeps a frozenset of temporal edges per
+process and a reachability search per receipt; use it to test.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
+def run(schedule, min_knot_size: int = 2,
         stop_when_decided: bool = False) -> Trace:
     """Execute a schedule against one process state machine per process.
 
@@ -127,7 +126,7 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     memo holds one entry per distinct arc set detected in the run.
     """
     if min_knot_size < 2:
-        raise ValueError("min_size must be at least 2")
+        raise ValueError("min_knot_size must be at least 2")
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
     arc_ends: List[tuple] = []       # arc id -> (src, dst)
@@ -138,7 +137,6 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
     metrics: List[RoundMetric] = []
-    checker = _ReferenceChecker(n, min_knot_size) if check_invariants else None
     undecided = n
 
     for round_index, state in enumerate(schedule.states, start=1):
@@ -179,10 +177,6 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
                     undecided -= 1
 
         metrics.append(RoundMetric(round_index, len(state), payload_edges))
-        if checker is not None:
-            checker.after_round(round_index, state, [
-                (known_edges[pid], tuple(logs[pid].items()), outputs[pid])
-                for pid in range(n)])
         if stop_when_decided and n and not undecided:
             break
 
@@ -196,47 +190,33 @@ def run(schedule, min_knot_size: int = 2, check_invariants: bool = False,
     )
 
 
-class _ReferenceChecker:
-    """Runs the plain per-process state machine in lockstep with the fast
-    loop and asserts they never diverge. A reachability search per known
-    process on every receipt; meant for small schedules under test."""
+def reference_run(schedule, min_knot_size: int = 2) -> Trace:
+    """``run`` by ``protocol.on_state``, one ``ProcessState`` per process.
 
-    def __init__(self, n: int, min_knot_size: int) -> None:
-        self.min_knot_size = min_knot_size
-        self.states = {pid: ProcessState.fresh(pid) for pid in range(n)}
-        self.edge_by_id: List[TemporalEdge] = []  # the loop's edge ids
-        self.union_edges: set = set()
-
-    def after_round(self, round_index: int, state, fast: list) -> None:
-        """``fast[pid]`` is the loop's (temporal-edge mask, log, output) for
-        pid; ``state`` is the round's links, visited in the loop's order."""
-        edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
-        self.edge_by_id.extend(edges)
-        payloads = {e.src: self.states[e.src].lg for e in edges}
-        by_dst: Dict[int, list] = {}
-        for e in edges:
-            by_dst.setdefault(e.dst, []).append(e)
-        for dst, in_edges in by_dst.items():
-            incoming = [(payloads[e.src], e) for e in in_edges]
-            self.states[dst] = on_state(self.states[dst], incoming,
-                                        round_index, self.min_knot_size)
-        self.union_edges.update(edges)
-
-        for pid, ref in self.states.items():
-            mask, log, output = fast[pid]
-            if ref.lg != {self.edge_by_id[i] for i in _bits(mask)}:
-                raise AssertionError(
-                    f"round {round_index}: process {pid} graphs diverged")
-            if log != ref.observation_log:
-                raise AssertionError(
-                    f"round {round_index}: process {pid} logs diverged")
-            if output != ref.output:
-                raise AssertionError(
-                    f"round {round_index}: process {pid} outputs diverged")
-            if not ref.lg <= self.union_edges:
-                raise AssertionError(
-                    f"round {round_index}: process {pid} observed edges "
-                    "outside the computation graph")
+    Same contract as ``run`` without early stopping: it reads ``n`` and
+    passes once over ``states``. Each round's receipts carry the senders'
+    pre-round graphs, and a payload counts its sender's known edges.
+    """
+    if min_knot_size < 2:
+        raise ValueError("min_knot_size must be at least 2")
+    procs = [ProcessState.fresh(pid) for pid in range(schedule.n)]
+    metrics: List[RoundMetric] = []
+    for round_index, state in enumerate(schedule.states, start=1):
+        pre = [p.lg for p in procs]
+        incoming: Dict[int, list] = {}
+        for src, dst in state:
+            incoming.setdefault(dst, []).append(
+                (pre[src], TemporalEdge(src, dst, round_index)))
+        for dst, receipts in incoming.items():
+            procs[dst] = on_state(procs[dst], receipts, round_index,
+                                  min_knot_size)
+        metrics.append(RoundMetric(round_index, len(state),
+                                   sum(len(pre[src]) for src, _ in state)))
+    return Trace(n=schedule.n, horizon=len(metrics),
+                 outputs={p.self_id: p.output for p in procs},
+                 observation_logs={p.self_id: p.observation_log
+                                   for p in procs},
+                 round_metrics=metrics)
 
 
 def longest_output_time(t: Trace) -> Optional[int]:

@@ -22,7 +22,8 @@ from knotid import (
     worst_case_schedule,
 )
 from knotid.cli import ExperimentConfig, main, run_sweep
-from util import disjoint_two_cycles_schedule, knot_churn_schedule, random_digraph
+from util import (checked_run, disjoint_two_cycles_schedule,
+                  knot_churn_schedule, random_digraph)
 
 
 def _emit(capsys, number, status, description):
@@ -74,7 +75,7 @@ def test_criterion_3_knot_churn_scenario(capsys):
         assert find_knots(computation_graph(s, 4)) == [Knot((1, 2, 3))]   # (a)
         assert find_knots(computation_graph(s, 6)) == []                  # (b)
         assert find_knots(computation_graph(s, 7)) == [Knot((0, 1, 2, 3))]  # (c)
-        trace = run(s, check_invariants=True)
+        trace = checked_run(s)
         assert trace.outputs[4] == (Knot((1, 2, 3)), 5)                   # (d)
         big = Knot((0, 1, 2, 3))
         first_seen = {}

@@ -283,6 +283,17 @@ class TestSweepCmd:
         main(base + ["--workers", "3", "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_chunked_parallel_sweep_matches_serial(self, tmp_path):
+        # 256 one-round cells reach two workers in chunks of 1 + 256 // 128
+        base = ["sweep", "--n", "3", "--cycle-sizes", "2,3",
+                "--edges-per-round", "1,2", "--num-seeds", "64",
+                "--horizon", "1", "--base-seed", "5"]
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        main(base + ["--workers", "1", "--out", str(serial)])
+        main(base + ["--workers", "2", "--out", str(parallel)])
+        assert len(serial.read_text().splitlines()) == 2 + 256 + 4
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_sweep_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import chain, repeat
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotid import engine, graph
+from knotid import graph
 from knotid import (
     Knot,
     Schedule,
@@ -16,6 +17,7 @@ from knotid import (
     gen_computation,
     insert_noncomm_states,
     longest_output_time,
+    reference_run,
     run,
     verify,
     worst_case_schedule,
@@ -25,7 +27,8 @@ from knotid.engine import (
     write_round_metrics_csv,
     write_trace_csv,
 )
-from util import disjoint_two_cycles_schedule, small_schedules
+import util
+from util import checked_run, disjoint_two_cycles_schedule, small_schedules
 
 
 class TestRun:
@@ -38,7 +41,7 @@ class TestRun:
         assert longest_output_time(t) is None
 
     def test_churn_scenario_observation_order(self, churn_schedule):
-        t = run(churn_schedule, check_invariants=True)
+        t = checked_run(churn_schedule)
         small, big = Knot((1, 2, 3)), Knot((0, 1, 2, 3))
         assert t.outputs[4] == (small, 5)   # bystander sees the 3-knot
         assert t.outputs[3] == (small, 4)   # closing process saw it first
@@ -66,10 +69,12 @@ class TestRun:
             raise AssertionError("a round was read")
             yield
 
-        for schedule in (Schedule(3, [[]]),
-                         SimpleNamespace(n=3, states=unread())):
-            with pytest.raises(ValueError, match="at least 2"):
-                run(schedule, min_knot_size=1)
+        for runner in (run, reference_run):
+            for schedule in (Schedule(3, [[]]),
+                             SimpleNamespace(n=3, states=unread())):
+                with pytest.raises(ValueError,
+                                   match="min_knot_size must be at least 2"):
+                    runner(schedule, min_knot_size=1)
 
     def test_lockstep_shares_no_knot_code_with_the_engine(
             self, churn_schedule, monkeypatch):
@@ -78,27 +83,25 @@ class TestRun:
         monkeypatch.setattr(graph, "_strongly_connected_components",
                             lambda nodes, adjacency: [[v] for v in nodes])
         with pytest.raises(AssertionError, match="logs diverged"):
-            run(churn_schedule, check_invariants=True)
+            checked_run(churn_schedule)
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda mask, log, output: (mask ^ 1, log, output), "graphs diverged"),
-        (lambda mask, log, output: (mask, log, (Knot((0, 1)), 1)),
+        (lambda t: replace(t, observation_logs={
+            **t.observation_logs, 0: t.observation_logs[0][:-1]}),
+         "logs diverged"),
+        (lambda t: replace(t, outputs={**t.outputs, 0: (Knot((0, 1)), 1)}),
          "outputs diverged"),
-    ], ids=["graph", "output"])
+        (lambda t: replace(t, round_metrics=[
+            *t.round_metrics[:-1],
+            t.round_metrics[-1]._replace(payload_edges=-1)]),
+         "round metrics diverged"),
+    ], ids=["log", "output", "metric"])
     def test_lockstep_names_what_diverged(self, churn_schedule, monkeypatch,
                                           corrupt, message):
-        # corrupt process 0's fast-side entry in the last round only
-        after_round = engine._ReferenceChecker.after_round
-
-        def corrupted(self, round_index, state, fast):
-            if round_index == churn_schedule.horizon:
-                fast = [corrupt(*fast[0]), *fast[1:]]
-            after_round(self, round_index, state, fast)
-
-        monkeypatch.setattr(engine._ReferenceChecker, "after_round", corrupted)
-        with pytest.raises(AssertionError,
-                           match=f"round 13: process 0 {message}"):
-            run(churn_schedule, check_invariants=True)
+        # corrupt one part of the engine's returned trace
+        monkeypatch.setattr(util, "run", lambda s: corrupt(run(s)))
+        with pytest.raises(AssertionError, match=message):
+            checked_run(churn_schedule)
 
     def test_fast_and_reference_paths_agree_on_random_schedules(self):
         for seed in range(12):
@@ -114,7 +117,13 @@ class TestRun:
                         pairs.add((src, dst))
                 rounds.append(sorted(pairs))
             s = Schedule(n, rounds)
-            run(s, check_invariants=True)  # raises on any divergence
+            checked_run(s)  # raises on any divergence
+
+    def test_reference_agrees_at_experiment_size(self):
+        # the first check of payload_edges at n=100: the journey oracle
+        # compares only outputs and logs
+        s = gen_computation(gen_backbone(100, 10, 3), 5, 1000, 3)
+        checked_run(s)
 
     def test_outputs_are_sound_against_lg_at_output_round(self, churn_schedule):
         # drive the pure state machine by hand and check every decision is a
@@ -185,10 +194,9 @@ class TestRelabelling:
               [4, 3, 2, 1, 0]))  # a tie the relabelling breaks the other way
     def test_relabelling_permutes_the_run(self, case):
         n, rounds, perm = case
-        base = run(Schedule(n, rounds), check_invariants=True)
-        moved = run(Schedule(
-            n, [[(perm[a], perm[b]) for a, b in pairs] for pairs in rounds]),
-            check_invariants=True)
+        base = checked_run(Schedule(n, rounds))
+        moved = checked_run(Schedule(
+            n, [[(perm[a], perm[b]) for a, b in pairs] for pairs in rounds]))
 
         def relabel(knot):
             return Knot(perm[m] for m in knot.members)
@@ -212,9 +220,8 @@ class TestScheduleProperties:
     @given(small_schedules(), st.data())
     def test_prefix_gives_the_runs_first_rounds(self, schedule, data):
         h = data.draw(st.integers(0, schedule.horizon))
-        full = run(schedule, check_invariants=True)
-        prefix = run(Schedule(schedule.n, schedule.states[:h]),
-                     check_invariants=True)
+        full = checked_run(schedule)
+        prefix = checked_run(Schedule(schedule.n, schedule.states[:h]))
         for pid in range(schedule.n):
             entry = full.outputs[pid]
             assert prefix.outputs[pid] == (
@@ -225,8 +232,8 @@ class TestScheduleProperties:
     @settings(max_examples=100, deadline=None)
     @given(small_schedules())
     def test_stopping_at_the_last_decision_keeps_the_outputs(self, schedule):
-        full = run(schedule, check_invariants=True)
-        stopped = run(schedule, check_invariants=True, stop_when_decided=True)
+        full = checked_run(schedule)
+        stopped = run(schedule, stop_when_decided=True)
         last = stopped.horizon
         assert stopped.outputs == full.outputs
         assert stopped.round_metrics == full.round_metrics[:last]
@@ -252,9 +259,8 @@ class TestScheduleProperties:
     def test_padding_shifts_decisions_only(self, schedule, data):
         positions = data.draw(st.lists(
             st.integers(1, schedule.horizon + 1), min_size=1, max_size=8))
-        base = run(schedule, check_invariants=True)
-        padded = run(insert_noncomm_states(schedule, positions),
-                     check_invariants=True)
+        base = checked_run(schedule)
+        padded = checked_run(insert_noncomm_states(schedule, positions))
 
         def shifted(r):
             return r + sum(1 for p in positions if p <= r)
@@ -302,7 +308,7 @@ class TestVerify:
             5,
             [[(1, 2)], [(2, 1)], [(3, 4)], [(4, 3)],
              [(1, 0), (3, 0)]])
-        t = run(s, check_invariants=True)
+        t = checked_run(s)
         assert t.outputs[0] == (Knot((1, 2)), 5)
         assert {k for k, _ in t.observation_logs[0]} \
             == {Knot((1, 2)), Knot((3, 4))}

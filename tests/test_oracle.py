@@ -24,7 +24,7 @@ from knotid import (
     run,
     worst_case_schedule,
 )
-from util import knot_churn_schedule, small_schedules
+from util import checked_run, knot_churn_schedule, small_schedules
 
 
 def journey_run(schedule, min_knot_size: int = 2) -> tuple:
@@ -102,7 +102,7 @@ def test_relay_of_a_destroyed_knot_matches_oracle(detections):
     assert trace.observation_logs[0] == ((Knot((0, 1)), 2), (Knot((2, 3)), 5))
     assert trace.observation_logs[1] == ((Knot((2, 3)), 7),)
     assert trace.outputs[1] == (Knot((2, 3)), 7)
-    run(schedule, check_invariants=True)
+    checked_run(schedule)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from knotid import Schedule, TemporalEdge
+from knotid import Schedule, TemporalEdge, Trace, reference_run, run
 
 # Five processes used by the hand-built scenario below.
 A, B, C, D, E = 0, 1, 2, 3, 4
@@ -37,6 +37,18 @@ def knot_churn_schedule() -> Schedule:
         [(C, A)],      # 13
     ]
     return Schedule(5, rounds, params="churn_demo")
+
+
+def checked_run(schedule: Schedule) -> Trace:
+    """``run``, asserted equal to ``reference_run`` part by part. Logs come
+    first: an output is read off its process's log."""
+    trace, reference = run(schedule), reference_run(schedule)
+    assert trace.observation_logs == reference.observation_logs, \
+        "logs diverged"
+    assert trace.outputs == reference.outputs, "outputs diverged"
+    assert trace.round_metrics == reference.round_metrics, \
+        "round metrics diverged"
+    return trace
 
 
 def disjoint_two_cycles_schedule() -> Schedule:

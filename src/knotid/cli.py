@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be at least 1")
+        if self.base_seed < 0:  # Random(-s) would replay the cells of s
+            raise ConfigError("base_seed must be at least 0")
         cells = len(self.cycle_sizes) * len(self.edges_per_round) * self.num_seeds
         if cells > MAX_SWEEP_CELLS:
             raise ConfigError(f"sweep grid of {cells} cells exceeds the cap "
@@ -333,6 +335,8 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
     n, cycle_size, edges_per_round, horizon, seed = (
         default if getattr(args, key) is None else getattr(args, key)
         for key, default in _GENERATOR_DEFAULTS.items())
+    if seed < 0:  # Random(-s) would replay the rounds of s
+        raise ConfigError("--seed must be at least 0")
     backbone, computation_seed = _seeded_backbone(n, cycle_size, seed)
     return gen_computation(backbone, edges_per_round, horizon,
                            computation_seed)

@@ -18,11 +18,19 @@ visits each round's ``(src, dst)`` links; it feeds only the payload metric.
 A receipt is ``known[dst] |= pre[src] | bit(link)`` where ``pre`` is the
 list of masks copied before the round's merges: ints are immutable, so that
 copy is the whole snapshot, and a message's payload is the popcount of its
-sender's ``pre`` edge mask. Knot detection runs only when a receiver's arc
-mask grew, the only thing that can change its knot set, and once per mask:
-a per-run memo maps each mask to its knots. It is exact because knots
-ignore stamps, ``min_knot_size`` is fixed, arc ids are only appended and
-masks only grow, so a mask names one arc set all run long.
+sender's ``pre`` edge mask.
+
+Knot detection runs only when a receiver's arc mask grew, and only on the
+region where a fresh knot can be: the nodes that reach the head of a new
+arc, with every arc into them. It is exact: arcs are only added, so every
+fresh knot holds a new arc's head, and a region closed under predecessors
+has the graph's knots inside it as its source SCCs. ``in_arcs`` indexes
+each node's in-arcs run-wide; the search keeps those in the receiver's
+mask. Every node of a process's graph reaches it, so a receiver that
+learns an arc into itself searches from itself, over its whole graph. A
+per-run memo maps an arc mask to the knots of searches that covered all of
+it: knots ignore stamps, ``min_knot_size`` is fixed, arc ids are only
+appended and masks only grow, so a mask names one arc set all run long.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
@@ -115,6 +123,28 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _ancestor_region(seeds, arcs: int, in_arcs: dict) -> tuple:
+    """The seeds and every node that reaches one by arcs of ``arcs``.
+
+    Returns ``(outs, covered)``: ``outs`` maps each region node to its
+    successors in the region, and ``covered`` counts the region's arcs,
+    which are every arc of ``arcs`` into a region node.
+    """
+    outs = {v: [] for v in seeds}
+    stack = list(outs)
+    covered = 0
+    while stack:
+        to = stack.pop()
+        for bit, src in in_arcs.get(to, ()):
+            if arcs & bit:
+                covered += 1
+                if src not in outs:
+                    outs[src] = []
+                    stack.append(src)
+                outs[src].append(to)
+    return outs, covered
+
+
 def run(schedule, min_knot_size: int = 2,
         stop_when_decided: bool = False) -> Trace:
     """Execute a schedule against one process state machine per process.
@@ -122,18 +152,20 @@ def run(schedule, min_knot_size: int = 2,
     ``schedule`` needs only ``n`` and ``states``, an iterable of rounds read
     once. ``stop_when_decided`` ends the run after the round in which every
     process has decided, skipping the later rounds' metrics and log entries;
-    a run in which some process never decides runs every round. The knot
-    memo holds one entry per distinct arc set detected in the run.
+    a run in which some process never decides runs every round. Each
+    detection searches the new arcs' ancestors; the knot memo holds one
+    entry per distinct arc set whose search covered all of it.
     """
     if min_knot_size < 2:
         raise ValueError("min_knot_size must be at least 2")
     n = schedule.n
     arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
-    arc_ends: List[tuple] = []       # arc id -> (src, dst)
+    arc_heads: List[int] = []        # arc id -> dst
+    in_arcs: Dict[int, list] = {}    # node -> [(1 << arc id, src)] into it
     edge_total = 0                   # next temporal-edge id
     known_arcs = [0] * n
     known_edges = [0] * n
-    knots_of: Dict[int, list] = {}   # arc mask -> knots of that arc set
+    knots_of: Dict[int, list] = {}   # whole arc mask -> knots of that set
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
     metrics: List[RoundMetric] = []
@@ -147,8 +179,9 @@ def run(schedule, min_knot_size: int = 2,
             src, dst = link
             arc = arc_ids.get(link)
             if arc is None:
-                arc = arc_ids[link] = len(arc_ends)
-                arc_ends.append(link)
+                arc = arc_ids[link] = len(arc_heads)
+                arc_heads.append(dst)
+                in_arcs.setdefault(dst, []).append((1 << arc, src))
             known_arcs[dst] |= pre_arcs[src] | 1 << arc
             known_edges[dst] |= pre_edges[src] | 1 << edge_total
             edge_total += 1
@@ -160,13 +193,17 @@ def run(schedule, min_knot_size: int = 2,
                 continue
             knots = knots_of.get(arcs)
             if knots is None:
-                outs: dict = {}   # every arc endpoint -> its successors
-                for arc in _bits(arcs):
-                    src, to = arc_ends[arc]
-                    outs.setdefault(src, []).append(to)
-                    outs.setdefault(to, [])
-                knots = knots_of[arcs] = knots_from_adjacency(
-                    outs.keys(), outs, min_knot_size)
+                new = arcs & ~pre_arcs[dst]
+                # every node reaches dst, so once dst learns an arc into
+                # itself the region is its whole graph
+                if any(new & bit for bit, _ in in_arcs[dst]):
+                    seeds = (dst,)
+                else:
+                    seeds = {arc_heads[arc] for arc in _bits(new)}
+                outs, covered = _ancestor_region(seeds, arcs, in_arcs)
+                knots = knots_from_adjacency(outs.keys(), outs, min_knot_size)
+                if covered == arcs.bit_count():  # a whole-graph result
+                    knots_of[arcs] = knots
             log = logs[dst]
             fresh = [k for k in knots if k not in log]
             if fresh:

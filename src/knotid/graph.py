@@ -123,8 +123,9 @@ def knots_from_adjacency(nodes: Iterable[ProcessId], adjacency: Mapping,
 
     The adjacency maps node -> iterable of successors. Result is sorted by
     canonical member list. This is the single knot-extraction routine behind
-    ``find_knots``; the engine calls it once per distinct arc set in a run,
-    on an adjacency it builds from that set's arc mask.
+    ``find_knots``. The engine calls it on the region a receipt can change,
+    the ancestors of its new arcs' heads, and memoises results that cover
+    the receiver's whole arc set.
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")

@@ -362,6 +362,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, config, message", [
         ([*SWEEP, "--n", "1"], None, "n must be at least 2"),
         ([*SWEEP, "--num-seeds", "0"], None, "num_seeds must be at least 1"),
+        ([*SWEEP, "--base-seed", "-1"], None, "base_seed must be at least 0"),
         ([*SWEEP, "--min-knot-size", "1"], None,
          "min_knot_size must be at least 2"),
         ([*SWEEP, "--workers", "0"], None, "workers must be at least 1"),
@@ -382,10 +383,15 @@ class TestUsageErrors:
         (CONFIG, "n = 12\ncycle_sizes = 1:\n", "exp.cfg:2: bad range '1:'"),
         (["run", "--worst-case", "1", "--out", "x"], None,
          "--worst-case needs at least 2 processes"),
-    ], ids=["n", "num-seeds", "min-knot-size", "workers", "edges-per-round",
-            "range-parts", "range-int", "cells-seeds", "cells-ranges",
+        (CONFIG, "n = 12\nbase_seed = -1\n", "base_seed must be at least 0"),
+        (["gen", "--seed", "-3", "--out", "x.txt"], None,
+         "--seed must be at least 0"),
+    ], ids=["n", "num-seeds", "base-seed", "min-knot-size", "workers",
+            "edges-per-round", "range-parts", "range-int", "cells-seeds",
+            "cells-ranges",
             "config-unreadable", "config-no-equals", "config-int",
-            "config-key", "config-range", "worst-case-1"])
+            "config-key", "config-range", "worst-case-1",
+            "config-base-seed", "gen-seed"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         argv, config, message):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knotid import graph
+from knotid import engine, graph
 from knotid import (
     Knot,
     Schedule,
@@ -99,7 +99,8 @@ class TestRun:
     def test_lockstep_names_what_diverged(self, churn_schedule, monkeypatch,
                                           corrupt, message):
         # corrupt one part of the engine's returned trace
-        monkeypatch.setattr(util, "run", lambda s: corrupt(run(s)))
+        monkeypatch.setattr(util, "run",
+                            lambda s, **kw: corrupt(run(s, **kw)))
         with pytest.raises(AssertionError, match=message):
             checked_run(churn_schedule)
 
@@ -174,6 +175,72 @@ class TestRun:
         t = run(churn_schedule)
         assert [m.messages for m in t.round_metrics] \
             == [len(state) for state in churn_schedule.states]
+
+
+@st.composite
+def pooled_schedules(draw):
+    """Rounds of links drawn from a small fixed pool of arcs, with a
+    ``min_knot_size``: repeated links make receipts whose new arcs miss part
+    of the receiver's graph."""
+    n = draw(st.integers(2, 12))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
+        .filter(lambda pair: pair[0] != pair[1])
+    pool = draw(st.lists(arc, min_size=1, max_size=2 * n, unique=True))
+    rounds = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8),
+                           min_size=1, max_size=40))
+    return Schedule(n, rounds), draw(st.sampled_from([2, 3]))
+
+
+class TestRegionSearch:
+    """Each receipt's knots come from the ancestors of its new arcs' heads."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_schedules())
+    def test_repeated_links_agree_with_the_reference(self, case):
+        schedule, min_knot_size = case
+        checked_run(schedule, min_knot_size)
+
+    def test_reference_agrees_in_the_detection_bound_regime(self):
+        # one backbone arc a round: most receipts learn arcs far from the
+        # receiver, so most regions are part of its graph
+        for seed in (1, 2):
+            checked_run(gen_computation(gen_backbone(40, 20, seed), 1, 1500,
+                                        seed))
+
+    def test_region_is_the_new_arcs_ancestors(self, detections):
+        # round 4: process 1 re-hears 0->1 and learns 2->3 and 3->0, whose
+        # heads 3 and 0 are reached from 0, 2 and 3 but not from 1
+        checked_run(Schedule(4, [[(0, 1)], [(2, 3)], [(3, 0)], [(0, 1)]]))
+        assert [set(nodes) for nodes, _, _ in detections] \
+            == [{0, 1}, {2, 3}, {0, 2, 3}, {0, 2, 3}]
+
+    def test_every_new_arc_seeds_the_search(self):
+        # round 8: process 0 re-hears 1->0 and learns 5->4 first, then
+        # 4->1 and the knot {2, 3} with 3->1; the knot does not reach 4
+        t = checked_run(Schedule(6, [[(1, 0)], [(5, 4)], [(4, 1)], [(2, 3)],
+                                     [(3, 2)], [(2, 3)], [(3, 1)], [(1, 0)]]))
+        assert t.observation_logs[0] == ((Knot((2, 3)), 8),)
+
+    def test_a_partial_region_is_not_memoised(self, detections):
+        # round 9: process 0 re-hears 4->0 and learns only 5->4, so its
+        # search misses the knot {2, 3} it logged at round 5; at round 10
+        # process 1 reaches the same arc set and must still find that knot
+        t = checked_run(Schedule(6, [[(0, 1)], [(2, 3)], [(3, 2)], [(2, 3)],
+                                     [(3, 0)], [(1, 0)], [(4, 0)], [(5, 4)],
+                                     [(4, 0)], [(0, 1)]]))
+        assert set(detections[-2][0]) == {4, 5}
+        assert t.observation_logs[1] == ((Knot((2, 3)), 10),)
+
+    def test_region_mutant_fails_the_reference_check(self, churn_schedule,
+                                                     monkeypatch):
+        # a search that ignores the receiver's mask walks arcs only other
+        # processes know
+        region = engine._ancestor_region
+        monkeypatch.setattr(engine, "_ancestor_region",
+                            lambda seeds, arcs, in_arcs:
+                            region(seeds, -1, in_arcs))
+        with pytest.raises(AssertionError, match="logs diverged"):
+            checked_run(churn_schedule)
 
 
 @st.composite

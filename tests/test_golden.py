@@ -23,6 +23,11 @@ SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
 SWEEP_H40 = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
              "--edges-per-round", "1,3", "--horizon", "40", "--num-seeds", "3",
              "--out", "{out}/sweep_h40.csv"]
+# One backbone arc a round at n=100: knot detection dominates, and the
+# cells with k >= 55 never decide within the horizon.
+SWEEP_M1 = ["sweep", "--n", "100", "--cycle-sizes", "10:100:15",
+            "--edges-per-round", "1", "--horizon", "6000", "--num-seeds", "2",
+            "--base-seed", "42", "--out", "{out}/sweep_m1.csv"]
 WORST_CASE = ["run", "--worst-case", "8", "--out", "{out}/worst_case_8"]
 GENERATED = ["run", "--n", "20", "--cycle-size", "4", "--horizon", "300",
              "--seed", "3", "--out", "{out}/n20_k4_seed3"]
@@ -34,6 +39,7 @@ VERIFY = ["verify", "{out}/disjoint.txt", "--json",
 CASES = {
     "sweep.csv": (SWEEP, 0),
     "sweep_h40.csv": (SWEEP_H40, 1),
+    "sweep_m1.csv": (SWEEP_M1, 1),
     "worst_case_8_trace.csv": (WORST_CASE, 0),
     "worst_case_8_rounds.csv": (WORST_CASE, 0),
     "worst_case_8_diagnostics.jsonl": (WORST_CASE, 0),

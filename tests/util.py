@@ -39,10 +39,11 @@ def knot_churn_schedule() -> Schedule:
     return Schedule(5, rounds, params="churn_demo")
 
 
-def checked_run(schedule: Schedule) -> Trace:
+def checked_run(schedule: Schedule, min_knot_size: int = 2) -> Trace:
     """``run``, asserted equal to ``reference_run`` part by part. Logs come
     first: an output is read off its process's log."""
-    trace, reference = run(schedule), reference_run(schedule)
+    trace = run(schedule, min_knot_size=min_knot_size)
+    reference = reference_run(schedule, min_knot_size=min_knot_size)
     assert trace.observation_logs == reference.observation_logs, \
         "logs diverged"
     assert trace.outputs == reference.outputs, "outputs diverged"

@@ -190,10 +190,10 @@ def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
         parent = rng.randrange(new)  # every id below `new` is already connected
         tree.append((parent, new))
     backbone = Backbone(n=n, cycle=cycle, tree_edges=tuple(tree), seed=rng_seed)
-    adjacency: dict = {}
+    preds: dict = {v: [] for v in range(n)}
     for src, dst in backbone.edges:
-        adjacency.setdefault(src, []).append(dst)
-    if knots_from_adjacency(range(n), adjacency) != [Knot(cycle)]:
+        preds[dst].append(src)
+    if knots_from_adjacency(range(n), preds.__getitem__) != [Knot(cycle)]:
         raise RuntimeError("generated backbone lost its unique-knot invariant")
     return backbone
 

@@ -20,17 +20,18 @@ list of masks copied before the round's merges: ints are immutable, so that
 copy is the whole snapshot, and a message's payload is the popcount of its
 sender's ``pre`` edge mask.
 
-Knot detection runs only when a receiver's arc mask grew, and only on the
-region where a fresh knot can be: the nodes that reach the head of a new
-arc, with every arc into them. It is exact: arcs are only added, so every
-fresh knot holds a new arc's head, and a region closed under predecessors
-has the graph's knots inside it as its source SCCs. ``in_arcs`` indexes
-each node's in-arcs run-wide; the search keeps those in the receiver's
-mask. Every node of a process's graph reaches it, so a receiver that
-learns an arc into itself searches from itself, over its whole graph. A
-per-run memo maps an arc mask to the knots of searches that covered all of
-it: knots ignore stamps, ``min_knot_size`` is fixed, arc ids are only
-appended and masks only grow, so a mask names one arc set all run long.
+Knot detection runs only when a receiver's arc mask grew, and only where a
+fresh knot can be: ``knots_from_adjacency`` walks arcs backwards from the
+heads of the new arcs, so it visits the nodes that reach one, with every
+arc into them. It is exact: arcs are only added, so every fresh knot holds
+a new arc's head, and a search that sees every arc into the nodes it
+visits finds the graph's knots among them. ``in_arcs`` indexes each node's
+in-arcs run-wide; the search keeps those in the receiver's mask. Every
+node of a process's graph reaches it, so a receiver that learns an arc
+into itself searches from itself, over its whole graph. A per-run memo
+maps an arc mask to the knots of those whole-graph searches: knots ignore
+stamps, ``min_knot_size`` is fixed, arc ids are only appended and masks
+only grow, so a mask names one arc set all run long.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
@@ -123,28 +124,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _ancestor_region(seeds, arcs: int, in_arcs: dict) -> tuple:
-    """The seeds and every node that reaches one by arcs of ``arcs``.
-
-    Returns ``(outs, covered)``: ``outs`` maps each region node to its
-    successors in the region, and ``covered`` counts the region's arcs,
-    which are every arc of ``arcs`` into a region node.
-    """
-    outs = {v: [] for v in seeds}
-    stack = list(outs)
-    covered = 0
-    while stack:
-        to = stack.pop()
-        for bit, src in in_arcs.get(to, ()):
-            if arcs & bit:
-                covered += 1
-                if src not in outs:
-                    outs[src] = []
-                    stack.append(src)
-                outs[src].append(to)
-    return outs, covered
-
-
 def run(schedule, min_knot_size: int = 2,
         stop_when_decided: bool = False) -> Trace:
     """Execute a schedule against one process state machine per process.
@@ -154,7 +133,7 @@ def run(schedule, min_knot_size: int = 2,
     process has decided, skipping the later rounds' metrics and log entries;
     a run in which some process never decides runs every round. Each
     detection searches the new arcs' ancestors; the knot memo holds one
-    entry per distinct arc set whose search covered all of it.
+    entry per distinct arc set searched from its receiver.
     """
     if min_knot_size < 2:
         raise ValueError("min_knot_size must be at least 2")
@@ -194,16 +173,17 @@ def run(schedule, min_knot_size: int = 2,
             knots = knots_of.get(arcs)
             if knots is None:
                 new = arcs & ~pre_arcs[dst]
+                preds = lambda v: [src for bit, src in in_arcs.get(v, ())
+                                    if arcs & bit]
                 # every node reaches dst, so once dst learns an arc into
-                # itself the region is its whole graph
+                # itself the search from dst covers its whole graph
                 if any(new & bit for bit, _ in in_arcs[dst]):
-                    seeds = (dst,)
+                    knots = knots_of[arcs] = knots_from_adjacency(
+                        (dst,), preds, min_knot_size)
                 else:
-                    seeds = {arc_heads[arc] for arc in _bits(new)}
-                outs, covered = _ancestor_region(seeds, arcs, in_arcs)
-                knots = knots_from_adjacency(outs.keys(), outs, min_knot_size)
-                if covered == arcs.bit_count():  # a whole-graph result
-                    knots_of[arcs] = knots
+                    knots = knots_from_adjacency(
+                        {arc_heads[arc] for arc in _bits(new)}, preds,
+                        min_knot_size)
             log = logs[dst]
             fresh = [k for k in knots if k not in log]
             if fresh:

@@ -9,16 +9,17 @@ destroys it. A graph, local or whole-computation, is a frozenset of
 temporal edges whose nodes are their endpoints: knot members are strongly
 connected, so a lone node is never a knot.
 
-Two knot finders are provided on purpose. ``find_knots`` splits the graph
-into its SCCs and keeps the components no arc enters; ``reachability_knots``
-is a deliberately naive per-node reachability check, kept independent so
-the two can cross-validate each other; it is also ``on_state``'s detector.
+Two knot finders are provided on purpose. ``find_knots`` runs
+``knots_from_adjacency``, one backward Tarjan pass that keeps the SCCs no
+arc enters, from every node; ``reachability_knots`` is a deliberately naive
+per-node reachability check, kept independent so the two can cross-validate
+each other; it is also ``on_state``'s detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 ProcessId = int
 
@@ -62,87 +63,78 @@ class Knot:
         return len(self.members)
 
 
-def _strongly_connected_components(nodes: list, adjacency: Mapping) -> list:
-    """Iterative Tarjan over the given nodes; roots visited in list order."""
+def knots_from_adjacency(seeds: Iterable[ProcessId],
+                         preds: Callable[[ProcessId], Iterable[ProcessId]],
+                         min_size: int = 2) -> list:
+    """Knots of size >= min_size among the ancestors of ``seeds``.
+
+    ``preds(v)`` iterates the predecessors of ``v``. One iterative Tarjan
+    pass walks arcs backwards from the seeds, so it visits exactly the nodes
+    that reach a seed and every arc into them. An SCC is a knot when no arc
+    from another SCC enters it; walking backwards, such an arc leads to an
+    SCC that is already complete: a predecessor indexed but off the stack,
+    or a DFS child whose SCC completed first. Every knot among the visited
+    nodes is a knot of the whole graph, and the result is sorted by
+    canonical member list. ``find_knots`` seeds it with every node; the
+    engine seeds it with the heads of a receipt's new arcs, or with the
+    receiver alone when one of them enters it.
+    """
+    if min_size < 2:
+        raise ValueError("min_size must be at least 2")
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
     stack: list = []
-    out: list = []
-    counter = 0
-    for root in nodes:
+    entered: set = set()  # nodes some arc from another SCC enters
+    knots: list = []
+    for root in seeds:
         if root in index:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(adjacency.get(root, ())))]
+        work = [(root, iter(preds(root)))]
         while work:
-            v, neighbours = work[-1]
-            for w in neighbours:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adjacency.get(w, ()))))
+            v, sources = work[-1]
+            for u in sources:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    on_stack.add(u)
+                    work.append((u, iter(preds(u))))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+                if u not in on_stack:  # u's SCC is complete
+                    entered.add(v)
+                elif index[u] < low[v]:
+                    low[v] = index[u]
             else:
                 work.pop()
-                if work:
+                if low[v] < index[v]:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == v:
-                            break
-                    out.append(component)
-    return out
-
-
-def _projected_adjacency(edges: Iterable[TemporalEdge]) -> dict:
-    """One static arc per (src, dst) pair; every endpoint is a key."""
-    adjacency: dict = {}
-    for e in edges:
-        adjacency.setdefault(e.src, set()).add(e.dst)
-        adjacency.setdefault(e.dst, set())
-    return adjacency
-
-
-def knots_from_adjacency(nodes: Iterable[ProcessId], adjacency: Mapping,
-                         min_size: int = 2) -> list:
-    """Source SCCs of size >= min_size over a prebuilt static adjacency.
-
-    The adjacency maps node -> iterable of successors. Result is sorted by
-    canonical member list. This is the single knot-extraction routine behind
-    ``find_knots``. The engine calls it on the region a receipt can change,
-    the ancestors of its new arcs' heads, and memoises results that cover
-    the receiver's whole arc set.
-    """
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
-    order = sorted(nodes)
-    components = _strongly_connected_components(order, adjacency)
-    member_of = {v: i for i, comp in enumerate(components) for v in comp}
-    entered = {member_of[w] for u in order for w in adjacency.get(u, ())
-               if member_of[w] != member_of[u]}
-    return sorted((Knot(comp) for i, comp in enumerate(components)
-                   if i not in entered and len(comp) >= min_size),
-                  key=lambda k: k.members)
+                    continue
+                if work:  # v's SCC is complete: the arc v -> parent enters
+                    entered.add(work[-1][0])
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    component.append(w)
+                    if w == v:
+                        break
+                if len(component) >= min_size and entered.isdisjoint(component):
+                    knots.append(Knot(component))
+    return sorted(knots, key=lambda k: k.members)
 
 
 def find_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list:
     """Every knot: source SCCs of the projection with >= min_size members."""
-    adjacency = _projected_adjacency(edges)
-    return knots_from_adjacency(adjacency.keys(), adjacency, min_size)
+    preds: dict = {}
+    for e in edges:
+        preds.setdefault(e.dst, set()).add(e.src)
+        preds.setdefault(e.src, set())
+    return knots_from_adjacency(preds.keys(), preds.__getitem__, min_size)
 
 
 def reachability_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list:

@@ -16,13 +16,21 @@ def disjoint_schedule():
 
 @pytest.fixture
 def detections(monkeypatch):
-    """Arguments of every call the engine makes to knot detection, in order."""
+    """One ``(seeds, region)`` pair per call the engine makes to knot
+    detection, in order: ``region`` lists the nodes whose predecessors the
+    search asked for."""
     calls = []
     detect = engine.knots_from_adjacency
 
-    def counted(*args):
-        calls.append(args)
-        return detect(*args)
+    def recorded(seeds, preds, *rest):
+        region = []
+        calls.append((seeds, region))
 
-    monkeypatch.setattr(engine, "knots_from_adjacency", counted)
+        def recording(v):
+            region.append(v)
+            return preds(v)
+
+        return detect(seeds, recording, *rest)
+
+    monkeypatch.setattr(engine, "knots_from_adjacency", recorded)
     return calls

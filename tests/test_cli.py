@@ -386,12 +386,16 @@ class TestUsageErrors:
         (CONFIG, "n = 12\nbase_seed = -1\n", "base_seed must be at least 0"),
         (["gen", "--seed", "-3", "--out", "x.txt"], None,
          "--seed must be at least 0"),
+        (["gen", "--horizon", "0", "--out", "x.txt"], None,
+         "horizon must be in 1..100000"),
+        (["run", "--horizon", "0", "--out", "x"], None,
+         "horizon must be in 1..100000"),
     ], ids=["n", "num-seeds", "base-seed", "min-knot-size", "workers",
             "edges-per-round", "range-parts", "range-int", "cells-seeds",
             "cells-ranges",
             "config-unreadable", "config-no-equals", "config-int",
             "config-key", "config-range", "worst-case-1",
-            "config-base-seed", "gen-seed"])
+            "config-base-seed", "gen-seed", "gen-horizon", "run-horizon"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         argv, config, message):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -78,10 +79,16 @@ class TestRun:
 
     def test_lockstep_shares_no_knot_code_with_the_engine(
             self, churn_schedule, monkeypatch):
-        # a Tarjan pass that never merges nodes hides every knot from the
-        # engine; the reference finds them by reachability and diverges
-        monkeypatch.setattr(graph, "_strongly_connected_components",
-                            lambda nodes, adjacency: [[v] for v in nodes])
+        # a Tarjan pass that sees no arcs never merges nodes and hides
+        # every knot from the engine; the reference finds them by
+        # reachability and diverges
+        detect = graph.knots_from_adjacency
+
+        def blind(seeds, preds, min_size=2):
+            return detect(seeds, lambda v: (), min_size)
+
+        for module in (graph, engine):
+            monkeypatch.setattr(module, "knots_from_adjacency", blind)
         with pytest.raises(AssertionError, match="logs diverged"):
             checked_run(churn_schedule)
 
@@ -211,7 +218,7 @@ class TestRegionSearch:
         # round 4: process 1 re-hears 0->1 and learns 2->3 and 3->0, whose
         # heads 3 and 0 are reached from 0, 2 and 3 but not from 1
         checked_run(Schedule(4, [[(0, 1)], [(2, 3)], [(3, 0)], [(0, 1)]]))
-        assert [set(nodes) for nodes, _, _ in detections] \
+        assert [set(region) for _, region in detections] \
             == [{0, 1}, {2, 3}, {0, 2, 3}, {0, 2, 3}]
 
     def test_every_new_arc_seeds_the_search(self):
@@ -228,17 +235,22 @@ class TestRegionSearch:
         t = checked_run(Schedule(6, [[(0, 1)], [(2, 3)], [(3, 2)], [(2, 3)],
                                      [(3, 0)], [(1, 0)], [(4, 0)], [(5, 4)],
                                      [(4, 0)], [(0, 1)]]))
-        assert set(detections[-2][0]) == {4, 5}
+        assert set(detections[-2][1]) == {4, 5}
         assert t.observation_logs[1] == ((Knot((2, 3)), 10),)
 
     def test_region_mutant_fails_the_reference_check(self, churn_schedule,
                                                      monkeypatch):
         # a search that ignores the receiver's mask walks arcs only other
         # processes know
-        region = engine._ancestor_region
-        monkeypatch.setattr(engine, "_ancestor_region",
-                            lambda seeds, arcs, in_arcs:
-                            region(seeds, -1, in_arcs))
+        detect = engine.knots_from_adjacency
+
+        def unmasked(seeds, preds, min_size):
+            in_arcs = inspect.getclosurevars(preds).nonlocals["in_arcs"]
+            return detect(seeds,
+                          lambda v: [src for _, src in in_arcs.get(v, ())],
+                          min_size)
+
+        monkeypatch.setattr(engine, "knots_from_adjacency", unmasked)
         with pytest.raises(AssertionError, match="logs diverged"):
             checked_run(churn_schedule)
 

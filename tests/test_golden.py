@@ -28,6 +28,10 @@ SWEEP_H40 = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
 SWEEP_M1 = ["sweep", "--n", "100", "--cycle-sizes", "10:100:15",
             "--edges-per-round", "1", "--horizon", "6000", "--num-seeds", "2",
             "--base-seed", "42", "--out", "{out}/sweep_m1.csv"]
+# Knots of at least three members: the k=2 cells never decide.
+SWEEP_MK3 = ["sweep", "--n", "30", "--cycle-sizes", "2:30:4",
+             "--edges-per-round", "1,3", "--horizon", "2000", "--num-seeds",
+             "2", "--min-knot-size", "3", "--out", "{out}/sweep_mk3.csv"]
 WORST_CASE = ["run", "--worst-case", "8", "--out", "{out}/worst_case_8"]
 GENERATED = ["run", "--n", "20", "--cycle-size", "4", "--horizon", "300",
              "--seed", "3", "--out", "{out}/n20_k4_seed3"]
@@ -40,6 +44,7 @@ CASES = {
     "sweep.csv": (SWEEP, 0),
     "sweep_h40.csv": (SWEEP_H40, 1),
     "sweep_m1.csv": (SWEEP_M1, 1),
+    "sweep_mk3.csv": (SWEEP_MK3, 1),
     "worst_case_8_trace.csv": (WORST_CASE, 0),
     "worst_case_8_rounds.csv": (WORST_CASE, 0),
     "worst_case_8_diagnostics.jsonl": (WORST_CASE, 0),

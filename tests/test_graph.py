@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotid import (
@@ -11,7 +11,7 @@ from knotid import (
     find_knots,
     reachability_knots,
 )
-from knotid.graph import _strongly_connected_components
+from knotid.graph import knots_from_adjacency
 from util import knot_churn_schedule, random_digraph
 
 
@@ -60,83 +60,71 @@ def nodes_of(g):
     return {v for e in g for v in (e.src, e.dst)}
 
 
-def projection(g):
-    """Static adjacency of g: node -> set of successors, stamps dropped."""
-    adjacency = {}
+def preds_of(g):
+    """Predecessor lookup of g's projection, stamps dropped."""
+    preds = {}
     for e in g:
-        adjacency.setdefault(e.src, set()).add(e.dst)
-    return adjacency
+        preds.setdefault(e.dst, set()).add(e.src)
+    return lambda v: preds.get(v, ())
 
 
-def components_of(g):
-    """g's SCCs as found by the Tarjan behind ``find_knots``, canonical."""
-    raw = _strongly_connected_components(sorted(nodes_of(g)), projection(g))
-    return sorted(tuple(sorted(c)) for c in raw)
+def reaches(g, a, b):
+    """Whether a path of g's arcs leads from a to b."""
+    frontier, seen = [a], {a}
+    while frontier:
+        u = frontier.pop()
+        if u == b:
+            return True
+        for e in g:
+            if e.src == u and e.dst not in seen:
+                seen.add(e.dst)
+                frontier.append(e.dst)
+    return False
+
+
+ENTERED_CYCLE = graph_of((0, 1, 1), (1, 0, 1), (0, 2, 1), (2, 3, 1),
+                         (3, 2, 1))
 
 
 class TestCondense:
-    """The SCC split inside ``knots_from_adjacency``: the examples are
-    checked through ``find_knots``, the partition on
-    ``_strongly_connected_components`` itself."""
+    """The backward Tarjan pass of ``knots_from_adjacency``: the examples
+    are checked through ``find_knots``, the seeded search against
+    ``reachability_knots``."""
 
     def test_empty(self):
-        assert components_of(frozenset()) == []
         assert find_knots(frozenset()) == []
+        assert knots_from_adjacency((0, 1), preds_of(frozenset())) == []
 
     def test_cycle_is_one_component(self):
         g = graph_of((0, 1, 5), (1, 2, 1), (2, 0, 9))
-        assert components_of(g) == [(0, 1, 2)]
-        assert find_knots(g) == [Knot((0, 1, 2))]
+        assert find_knots(g) == find_knots(g, 3) == [Knot((0, 1, 2))]
+        assert find_knots(g, 4) == []
 
     def test_churn_union_through_state_7(self):
         g = computation_graph(knot_churn_schedule(), 7)
-        assert components_of(g) == [(0, 1, 2, 3), (4,)]
-        # the only arc between the two components leaves the knot
+        # the only arc between the knot and node 4 leaves the knot
         crossing = {(e.src, e.dst) for e in g
                     if (e.src == 4) != (e.dst == 4)}
         assert crossing == {(3, 4)}
         assert find_knots(g) == [Knot((0, 1, 2, 3))]
+        # 4's ancestors hold the knot; 4 alone is an SCC the knot enters
+        assert knots_from_adjacency({4}, preds_of(g)) == [Knot((0, 1, 2, 3))]
         entered = g | graph_of((5, 0, 8))  # an arc into the knot
         assert find_knots(entered) == []
+        assert knots_from_adjacency({4}, preds_of(entered)) == []
 
-    @settings(max_examples=100)
-    @given(observation_graphs())
-    def test_partition_properties(self, g):
-        adjacency = projection(g)
-
-        def reach_from(start):
-            seen, frontier = {start}, [start]
-            while frontier:
-                for w in adjacency.get(frontier.pop(), ()):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return seen
-
-        nodes = nodes_of(g)
-        reach = {v: reach_from(v) for v in nodes}
-        got = components_of(g)
-        seen = [v for comp in got for v in comp]
-        assert sorted(seen) == sorted(nodes)  # disjoint cover
-        assert len(seen) == len(set(seen))
-        for comp in got:  # each is its members' mutual-reachability class
-            for v in comp:
-                assert set(comp) == {w for w in nodes
-                                     if w in reach[v] and v in reach[w]}
-        # component DAG is acyclic: longest-path labelling must terminate
-        member_of = {v: i for i, comp in enumerate(got) for v in comp}
-        arcs = {(member_of[e.src], member_of[e.dst]) for e in g
-                if member_of[e.src] != member_of[e.dst]}
-        order = {}
-        changed = True
-        while changed:
-            changed = False
-            for i, j in sorted(arcs):
-                need = order.get(i, 0) + 1
-                if order.get(j, 0) < need:
-                    order[j] = need
-                    changed = True
-                    assert need <= len(got), "cycle in component DAG"
+    @settings(max_examples=200)
+    @given(observation_graphs(), st.sets(st.integers(0, 7)),
+           st.sampled_from([2, 3]))
+    # the knot {0, 1} enters the cycle {2, 3}: from seed 2 the walk meets
+    # the knot as a DFS child, from seeds 0 and 2 as a finished SCC
+    @example(ENTERED_CYCLE, {2}, 2)
+    @example(ENTERED_CYCLE, {0, 2}, 2)
+    def test_finds_the_knots_that_reach_a_seed(self, g, seeds, min_size):
+        # seed 7 is never a node: nothing reaches it
+        expected = [k for k in reachability_knots(g, min_size)
+                    if any(reaches(g, k.members[0], s) for s in seeds)]
+        assert knots_from_adjacency(seeds, preds_of(g), min_size) == expected
 
 
 class TestFindKnots:
@@ -175,27 +163,11 @@ class TestFindKnots:
     @settings(max_examples=150)
     @given(observation_graphs())
     def test_knot_membership_properties(self, g):
-        adjacency = {}
-        for e in g:
-            adjacency.setdefault(e.src, set()).add(e.dst)
-
-        def reaches(a, b):
-            frontier, seen = [a], {a}
-            while frontier:
-                u = frontier.pop()
-                if u == b:
-                    return True
-                for w in adjacency.get(u, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return a == b
-
         for k in find_knots(g):
             members = set(k.members)
             for u in members:
                 for v in members:
-                    assert reaches(u, v)
+                    assert reaches(g, u, v)
             for e in g:
                 assert not (e.dst in members and e.src not in members)
 

@@ -337,7 +337,7 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
         for key, default in _GENERATOR_DEFAULTS.items())
     if seed < 0:  # Random(-s) would replay the rounds of s
         raise ConfigError("--seed must be at least 0")
-    if horizon < 1:  # gen_computation rejects a horizon above the cap
+    if not 1 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
     backbone, computation_seed = _seeded_backbone(n, cycle_size, seed)
     return gen_computation(backbone, edges_per_round, horizon,

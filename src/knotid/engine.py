@@ -20,18 +20,19 @@ list of masks copied before the round's merges: ints are immutable, so that
 copy is the whole snapshot, and a message's payload is the popcount of its
 sender's ``pre`` edge mask.
 
-Knot detection runs only when a receiver's arc mask grew, and only where a
-fresh knot can be: ``knots_from_adjacency`` walks arcs backwards from the
-heads of the new arcs, so it visits the nodes that reach one, with every
-arc into them. It is exact: arcs are only added, so every fresh knot holds
-a new arc's head, and a search that sees every arc into the nodes it
-visits finds the graph's knots among them. ``in_arcs`` indexes each node's
-in-arcs run-wide; the search keeps those in the receiver's mask. Every
-node of a process's graph reaches it, so a receiver that learns an arc
-into itself searches from itself, over its whole graph. A per-run memo
-maps an arc mask to the knots of those whole-graph searches: knots ignore
-stamps, ``min_knot_size`` is fixed, arc ids are only appended and masks
-only grow, so a mask names one arc set all run long.
+Knot detection runs only when a receiver's arc mask grew, and searches
+its whole graph: every node of a process's graph reaches it, so one
+backward Tarjan pass from the receiver alone visits them all, reading
+predecessors from ``in_arcs``, a run-wide index of each node's in-arcs
+filtered by the receiver's mask. A per-run memo maps an arc mask to the
+knots of that arc set: knots ignore stamps, ``min_knot_size`` is fixed,
+arc ids are only appended and masks only grow, so a mask names one arc set
+all run long. Since every node reaches the receiver, the receiver is the
+only node that can lack an out-arc; when it does (``out_of``), it is a
+one-node SCC and its in-arcs (``into``) enter no knot, so the knots are
+those of its core, the mask without them. Each search is stored under the
+mask and the core: a sink that hears one sender knowing the rest of its
+graph finds its core stored as that sender's mask.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
 will do. ``stop_when_decided=True`` ends it after the round in which the last
@@ -116,14 +117,6 @@ class Verdict:
                 "diagnostics": self.diagnostics}
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def run(schedule, min_knot_size: int = 2,
         stop_when_decided: bool = False) -> Trace:
     """Execute a schedule against one process state machine per process.
@@ -131,20 +124,20 @@ def run(schedule, min_knot_size: int = 2,
     ``schedule`` needs only ``n`` and ``states``, an iterable of rounds read
     once. ``stop_when_decided`` ends the run after the round in which every
     process has decided, skipping the later rounds' metrics and log entries;
-    a run in which some process never decides runs every round. Each
-    detection searches the new arcs' ancestors; the knot memo holds one
-    entry per distinct arc set searched from its receiver.
+    a run in which some process never decides runs every round. The knot
+    memo holds each searched arc set under its mask and its core.
     """
     if min_knot_size < 2:
         raise ValueError("min_knot_size must be at least 2")
     n = schedule.n
-    arc_ids: Dict[tuple, int] = {}   # (src, dst) -> dense arc id
-    arc_heads: List[int] = []        # arc id -> dst
+    arc_bits: Dict[tuple, int] = {}  # (src, dst) -> 1 << dense arc id
     in_arcs: Dict[int, list] = {}    # node -> [(1 << arc id, src)] into it
+    into = [0] * n                   # node -> mask of the arcs into it
+    out_of = [0] * n                 # node -> mask of the arcs out of it
     edge_total = 0                   # next temporal-edge id
     known_arcs = [0] * n
     known_edges = [0] * n
-    knots_of: Dict[int, list] = {}   # whole arc mask -> knots of that set
+    knots_of: Dict[int, list] = {}   # arc mask -> knots of that arc set
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
     metrics: List[RoundMetric] = []
@@ -156,12 +149,13 @@ def run(schedule, min_knot_size: int = 2,
         payload_edges = 0
         for link in state:
             src, dst = link
-            arc = arc_ids.get(link)
-            if arc is None:
-                arc = arc_ids[link] = len(arc_heads)
-                arc_heads.append(dst)
-                in_arcs.setdefault(dst, []).append((1 << arc, src))
-            known_arcs[dst] |= pre_arcs[src] | 1 << arc
+            bit = arc_bits.get(link)
+            if bit is None:
+                bit = arc_bits[link] = 1 << len(arc_bits)
+                in_arcs.setdefault(dst, []).append((bit, src))
+                into[dst] |= bit
+                out_of[src] |= bit
+            known_arcs[dst] |= pre_arcs[src] | bit
             known_edges[dst] |= pre_edges[src] | 1 << edge_total
             edge_total += 1
             payload_edges += pre_edges[src].bit_count()
@@ -172,18 +166,16 @@ def run(schedule, min_knot_size: int = 2,
                 continue
             knots = knots_of.get(arcs)
             if knots is None:
-                new = arcs & ~pre_arcs[dst]
-                preds = lambda v: [src for bit, src in in_arcs.get(v, ())
-                                    if arcs & bit]
-                # every node reaches dst, so once dst learns an arc into
-                # itself the search from dst covers its whole graph
-                if any(new & bit for bit, _ in in_arcs[dst]):
-                    knots = knots_of[arcs] = knots_from_adjacency(
-                        (dst,), preds, min_knot_size)
-                else:
+                # a receiver with no out-arc is a one-node SCC, and the
+                # arcs into it enter no knot
+                core = arcs if arcs & out_of[dst] else arcs & ~into[dst]
+                knots = knots_of.get(core)
+                if knots is None:
                     knots = knots_from_adjacency(
-                        {arc_heads[arc] for arc in _bits(new)}, preds,
-                        min_knot_size)
+                        (dst,), lambda v: [src for bit, src
+                                           in in_arcs.get(v, ())
+                                           if arcs & bit], min_knot_size)
+                knots_of[arcs] = knots_of[core] = knots
             log = logs[dst]
             fresh = [k for k in knots if k not in log]
             if fresh:

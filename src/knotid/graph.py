@@ -76,8 +76,8 @@ def knots_from_adjacency(seeds: Iterable[ProcessId],
     or a DFS child whose SCC completed first. Every knot among the visited
     nodes is a knot of the whole graph, and the result is sorted by
     canonical member list. ``find_knots`` seeds it with every node; the
-    engine seeds it with the heads of a receipt's new arcs, or with the
-    receiver alone when one of them enters it.
+    engine seeds it with the receiver alone, which every node of its graph
+    reaches.
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")

@@ -16,21 +16,14 @@ def disjoint_schedule():
 
 @pytest.fixture
 def detections(monkeypatch):
-    """One ``(seeds, region)`` pair per call the engine makes to knot
-    detection, in order: ``region`` lists the nodes whose predecessors the
-    search asked for."""
+    """The seeds of each call the engine makes to knot detection, in
+    order."""
     calls = []
     detect = engine.knots_from_adjacency
 
-    def recorded(seeds, preds, *rest):
-        region = []
-        calls.append((seeds, region))
-
-        def recording(v):
-            region.append(v)
-            return preds(v)
-
-        return detect(seeds, recording, *rest)
+    def recorded(seeds, *rest):
+        calls.append(seeds)
+        return detect(seeds, *rest)
 
     monkeypatch.setattr(engine, "knots_from_adjacency", recorded)
     return calls

@@ -190,12 +190,15 @@ class TestGenRun:
         path.write_bytes((header + "0 1 1\n").encode("ascii"))
         assert load_schedule(str(path)) == Schedule(3, [[(0, 1)]], "x")
 
-    @pytest.mark.parametrize("flags", [
-        ["--horizon", str(10**12)], ["--worst-case", str(10**12)],
-        ["--n", str(10**12)]], ids=["horizon", "worst-case", "n"])
-    def test_size_above_cap_is_usage_error(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", str(10**12)], "horizon must be in 1..100000"),
+        (["--worst-case", str(10**12)], "is above its cap"),
+        (["--n", str(10**12)], "is above its cap")],
+        ids=["horizon", "worst-case", "n"])
+    def test_size_above_cap_is_usage_error(self, tmp_path, capsys, flags,
+                                           message):
         assert main(["run", *flags, "--out", str(tmp_path / "x")]) == 2
-        assert "is above its cap" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_bad_generator_flags_are_usage_error(self, tmp_path):
         code = main(["run", "--n", "5", "--cycle-size", "9",

@@ -59,11 +59,24 @@ class TestRun:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_worst_case_detects_each_arc_set_once(self, n, detections):
-        # rounds 1..n each grow the cycle by one arc; every later receiver
-        # gets the whole cycle, an arc set an earlier process already checked
+        # round 1's receiver and round n's, which closes the cycle, search;
+        # rounds 2..n-1 each reach a sink whose core is its sender's arc set,
+        # and every later receiver gets the whole cycle, checked at round n
         t = run(worst_case_schedule(n))
-        assert len(detections) == n
+        assert detections == [(1,), (0,)]
         assert longest_output_time(t) == 2 * n - 1
+
+    def test_worst_case_decides_one_process_a_round_at_size(self):
+        n = 1024
+        t = run(worst_case_schedule(n))
+        knot = Knot(tuple(range(n)))
+        # list the processes that differ: a diff of 1024-member knots is slow
+        assert [p for p in range(n) if t.outputs[p] != (knot, n + p)
+                or t.observation_logs[p] != ((knot, n + p),)] == []
+
+    def test_worst_case_matches_the_reference_at_64(self):
+        assert longest_output_time(checked_run(worst_case_schedule(64))) \
+            == 127
 
     def test_min_knot_size_below_two_is_rejected_before_any_round(self):
         def unread():
@@ -187,8 +200,8 @@ class TestRun:
 @st.composite
 def pooled_schedules(draw):
     """Rounds of links drawn from a small fixed pool of arcs, with a
-    ``min_knot_size``: repeated links make receipts whose new arcs miss part
-    of the receiver's graph."""
+    ``min_knot_size``: repeated links make receivers that keep an out-arc,
+    and arc sets met again as a mask or as a core."""
     n = draw(st.integers(2, 12))
     arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) \
         .filter(lambda pair: pair[0] != pair[1])
@@ -199,7 +212,8 @@ def pooled_schedules(draw):
 
 
 class TestRegionSearch:
-    """Each receipt's knots come from the ancestors of its new arcs' heads."""
+    """Each arc set is searched once, from its receiver, over its whole
+    graph; a receiver with no out-arc reuses the knots of its core."""
 
     @settings(max_examples=300, deadline=None)
     @given(pooled_schedules())
@@ -208,40 +222,37 @@ class TestRegionSearch:
         checked_run(schedule, min_knot_size)
 
     def test_reference_agrees_in_the_detection_bound_regime(self):
-        # one backbone arc a round: most receipts learn arcs far from the
-        # receiver, so most regions are part of its graph
+        # one backbone arc a round: most receivers are sinks whose core an
+        # earlier receipt already searched
         for seed in (1, 2):
             checked_run(gen_computation(gen_backbone(40, 20, seed), 1, 1500,
                                         seed))
 
-    def test_region_is_the_new_arcs_ancestors(self, detections):
-        # round 4: process 1 re-hears 0->1 and learns 2->3 and 3->0, whose
-        # heads 3 and 0 are reached from 0, 2 and 3 but not from 1
-        checked_run(Schedule(4, [[(0, 1)], [(2, 3)], [(3, 0)], [(0, 1)]]))
-        assert [set(region) for _, region in detections] \
-            == [{0, 1}, {2, 3}, {0, 2, 3}, {0, 2, 3}]
+    def test_a_sink_reuses_its_senders_entry(self, detections):
+        # rounds 3 and 4 reach sinks: process 2's graph without 0->2 is
+        # process 0's, and process 3's without 2->3 is process 2's
+        t = checked_run(Schedule(4, [[(0, 1)], [(1, 0)], [(0, 2)], [(2, 3)]]))
+        assert detections == [(1,), (0,)]
+        assert t.outputs[3] == (Knot((0, 1)), 4)
+
+    def test_a_receiver_with_an_out_arc_is_searched(self, detections):
+        # process 0's graph {0->1, 1->0} without the arc into 0 is process
+        # 1's {0->1}, which holds no knot; 0 is not a sink, so it searches
+        t = checked_run(Schedule(2, [[(0, 1)], [(1, 0)]]))
+        assert detections == [(1,), (0,)]
+        assert t.outputs[0] == (Knot((0, 1)), 2)
 
     def test_every_new_arc_seeds_the_search(self):
         # round 8: process 0 re-hears 1->0 and learns 5->4 first, then
-        # 4->1 and the knot {2, 3} with 3->1; the knot does not reach 4
+        # 4->1 and the knot {2, 3} with 3->1; the knot does not reach 4, and
+        # 0, a sink, finds it under its core, process 1's round-7 mask
         t = checked_run(Schedule(6, [[(1, 0)], [(5, 4)], [(4, 1)], [(2, 3)],
                                      [(3, 2)], [(2, 3)], [(3, 1)], [(1, 0)]]))
         assert t.observation_logs[0] == ((Knot((2, 3)), 8),)
 
-    def test_a_partial_region_is_not_memoised(self, detections):
-        # round 9: process 0 re-hears 4->0 and learns only 5->4, so its
-        # search misses the knot {2, 3} it logged at round 5; at round 10
-        # process 1 reaches the same arc set and must still find that knot
-        t = checked_run(Schedule(6, [[(0, 1)], [(2, 3)], [(3, 2)], [(2, 3)],
-                                     [(3, 0)], [(1, 0)], [(4, 0)], [(5, 4)],
-                                     [(4, 0)], [(0, 1)]]))
-        assert set(detections[-2][1]) == {4, 5}
-        assert t.observation_logs[1] == ((Knot((2, 3)), 10),)
-
-    def test_region_mutant_fails_the_reference_check(self, churn_schedule,
-                                                     monkeypatch):
+    def test_unmasked_search_fails_the_reference_check(self, monkeypatch):
         # a search that ignores the receiver's mask walks arcs only other
-        # processes know
+        # processes know: at round 1 process 1 knows 0->1 but not 1->0
         detect = engine.knots_from_adjacency
 
         def unmasked(seeds, preds, min_size):
@@ -252,7 +263,7 @@ class TestRegionSearch:
 
         monkeypatch.setattr(engine, "knots_from_adjacency", unmasked)
         with pytest.raises(AssertionError, match="logs diverged"):
-            checked_run(churn_schedule)
+            checked_run(Schedule(2, [[(0, 1), (1, 0)]]))
 
 
 @st.composite

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from random import Random
 from types import SimpleNamespace
@@ -43,6 +43,7 @@ from .engine import (
     longest_output_time,
     run,
     verify,
+    write_csv,
     write_diagnostics_jsonl,
     write_round_metrics_csv,
     write_trace_csv,
@@ -90,22 +91,29 @@ def parse_int_list(text: str) -> Tuple[int, ...]:
 
 @dataclass
 class ExperimentConfig:
-    """One sweep definition. Only data-affecting fields enter the canonical
-    string; workers and output path never change the results."""
+    """One sweep definition. Each field is a ``sweep`` flag and a config
+    file key of the same name; a ``help`` in its metadata is the flag's."""
 
     n: int = 100
-    cycle_sizes: Tuple[int, ...] = (10,)
-    edges_per_round: Tuple[int, ...] = (5,)
+    cycle_sizes: Tuple[int, ...] = field(default=(10,), metadata={
+        "help": "comma list and/or start:stop[:step] ranges"})
+    edges_per_round: Tuple[int, ...] = field(default=(5,), metadata={
+        "help": "comma list of edges appearing per round"})
     horizon: int = 6000
     num_seeds: int = 10
     base_seed: int = 0
     min_knot_size: int = 2
-    workers: int = 1
-    out: str = "sweep.csv"
+    workers: int = field(default=1, metadata={
+        "help": f"parallel cells (default ${WORKERS_ENV} or 1)"})
+    out: str = field(default="sweep.csv", metadata={"help": "CSV path"})
+
+    # Left out of the canonical string: they change wall time and where the
+    # CSV goes, never its rows.
+    RUN_ONLY = ("workers", "out")
 
     def validate(self) -> None:
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
+        if not 2 <= self.n <= MAX_PROCESSES:
+            raise ConfigError(f"n must be in 2..{MAX_PROCESSES}")
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
         if self.num_seeds < 1:
@@ -128,20 +136,20 @@ class ExperimentConfig:
                 raise ConfigError(f"edges per round {m} outside 1..{self.n}")
 
     def canonical(self) -> str:
-        items = {
-            "base_seed": self.base_seed,
-            "cycle_sizes": ",".join(str(k) for k in self.cycle_sizes),
-            "edges_per_round": ",".join(str(m) for m in self.edges_per_round),
-            "horizon": self.horizon,
-            "min_knot_size": self.min_knot_size,
-            "n": self.n,
-            "num_seeds": self.num_seeds,
-        }
-        return " ".join(f"{key}={items[key]}" for key in sorted(items))
+        """``key=value`` for every field but the run-only ones, keys sorted
+        and lists comma-joined."""
+        items = []
+        for name in sorted(f.name for f in fields(self)
+                           if f.name not in self.RUN_ONLY):
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            items.append(f"{name}={value}")
+        return " ".join(items)
 
 
 def read_config_file(path: str) -> dict:
-    """key=value lines, '#' starts a comment."""
+    """key=value lines, '#' starts a comment; a key may appear once."""
     raw: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,29 +157,32 @@ def read_config_file(path: str) -> dict:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
+                key, sep, value = map(str.strip, line.partition("="))
                 try:
-                    raw[key] = _config_value(key, value)
+                    if not sep:
+                        raise ConfigError("expected key=value")
+                    value = _config_value(key, value)
+                    if key in raw:
+                        raise ConfigError(f"repeated key {key!r}")
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                raw[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
 
 
-_INT_KEYS = {"n", "horizon", "num_seeds", "base_seed", "min_knot_size", "workers"}
-_LIST_KEYS = {"cycle_sizes", "edges_per_round"}
-
-
 def _config_value(key: str, value):
-    """Check a config key; convert a text value to its field's type."""
-    if key not in {f.name for f in fields(ExperimentConfig)}:
+    """Check a config key; convert a text value by its field's default type.
+    Flags, config lines and ``$KNOTID_WORKERS`` all arrive as text."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    if key not in defaults:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _LIST_KEYS and isinstance(value, str):
+    if not isinstance(value, str):
+        return value
+    if isinstance(defaults[key], tuple):
         return parse_int_list(value)
-    if key in _INT_KEYS and isinstance(value, str):
+    if isinstance(defaults[key], int):
         try:
             return int(value)
         except ValueError as exc:
@@ -181,11 +192,10 @@ def _config_value(key: str, value):
 
 def config_from_sources(file_values: dict, flag_values: dict) -> ExperimentConfig:
     """Build a config from a file, then let explicit flags override it."""
-    cfg = ExperimentConfig()
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    for key, value in merged.items():
-        cfg = replace(cfg, **{key: _config_value(key, value)})
+    cfg = ExperimentConfig(**{key: _config_value(key, value)
+                              for key, value in merged.items()})
     cfg.validate()
     return cfg
 
@@ -268,44 +278,33 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[CellResult], List[MeanRow]]:
     return cells, means
 
 
-SWEEP_COLUMNS = ("cycle_size,edges_per_round,seed,longest_output_round,"
-                 "mean_output_round,agreement,termination,knot_size,excluded")
+SWEEP_COLUMNS = ("cycle_size", "edges_per_round", "seed",
+                 "longest_output_round", "mean_output_round", "agreement",
+                 "termination", "knot_size", "excluded")
 
 
 def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _sweep_rows(cfg: ExperimentConfig, cells: Sequence[CellResult],
+                means: Sequence[MeanRow]):
+    size = cfg.num_seeds  # cells come in row order, one group per mean
+    for index, mean_row in enumerate(means):
+        for cell in cells[index * size:(index + 1) * size]:
+            yield (cell.cycle_size, cell.edges_per_round, cell.seed,
+                   cell.longest, None, _bool_str(cell.agreement),
+                   _bool_str(cell.termination), cell.knot_size,
+                   int(cell.longest is None))
+        yield (mean_row.cycle_size, mean_row.edges_per_round, None, None,
+               None if mean_row.mean is None else f"{mean_row.mean:.3f}",
+               None, None, None, mean_row.excluded)
+
+
 def write_sweep_csv(cfg: ExperimentConfig, cells: Sequence[CellResult],
                     means: Sequence[MeanRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config: {cfg.canonical()}\n")
-        fh.write(SWEEP_COLUMNS + "\n")
-        size = cfg.num_seeds  # cells come in row order, one group per mean
-        for index, mean_row in enumerate(means):
-            for cell in cells[index * size:(index + 1) * size]:
-                fh.write(",".join([
-                    str(cell.cycle_size),
-                    str(cell.edges_per_round),
-                    str(cell.seed),
-                    "" if cell.longest is None else str(cell.longest),
-                    "",
-                    _bool_str(cell.agreement),
-                    _bool_str(cell.termination),
-                    "" if cell.knot_size is None else str(cell.knot_size),
-                    "1" if cell.longest is None else "0",
-                ]) + "\n")
-            fh.write(",".join([
-                str(mean_row.cycle_size),
-                str(mean_row.edges_per_round),
-                "",
-                "",
-                "" if mean_row.mean is None else f"{mean_row.mean:.3f}",
-                "",
-                "",
-                "",
-                str(mean_row.excluded),
-            ]) + "\n")
+    write_csv(path, SWEEP_COLUMNS, _sweep_rows(cfg, cells, means),
+              comment=f"config: {cfg.canonical()}")
 
 
 # Generator flag -> its default, applied only when a schedule is generated.
@@ -345,16 +344,13 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None,
-                        help="process count (default 100)")
-    parser.add_argument("--cycle-size", type=int, default=None,
-                        help="backbone cycle size (default 10)")
-    parser.add_argument("--edges-per-round", type=int, default=None,
-                        help="backbone edges appearing per round (default 5)")
-    parser.add_argument("--horizon", type=int, default=None,
-                        help="number of rounds to generate (default 6000)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="generator seed (default 0)")
+    for key, text in (("n", "process count"),
+                      ("cycle_size", "backbone cycle size"),
+                      ("edges_per_round", "backbone edges appearing per round"),
+                      ("horizon", "number of rounds to generate"),
+                      ("seed", "generator seed")):
+        parser.add_argument("--" + key.replace("_", "-"), type=int,
+                            help=f"{text} (default {_GENERATOR_DEFAULTS[key]})")
     parser.add_argument("--worst-case", type=int, metavar="N", default=None,
                         help="emit the deterministic 2N-1 round worst case "
                              "instead of a backbone computation")
@@ -414,6 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if flag_values["workers"] is None:
         flag_values["workers"] = os.environ.get(WORKERS_ENV)
     cfg = config_from_sources(file_values, flag_values)
+    open(cfg.out, "a", encoding="utf-8").close()  # fails before any cell
     cells, means = run_sweep(cfg)
     write_sweep_csv(cfg, cells, means, cfg.out)
     violations = sum(1 for c in cells if not (c.agreement and c.termination))
@@ -453,18 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
     sweep.add_argument("--config", default=None,
                        help="key=value config file; flags override it")
-    sweep.add_argument("--n", type=int, default=None)
-    sweep.add_argument("--cycle-sizes", dest="cycle_sizes", default=None,
-                       help="comma list and/or start:stop[:step] ranges")
-    sweep.add_argument("--edges-per-round", dest="edges_per_round", default=None,
-                       help="comma list of edges appearing per round")
-    sweep.add_argument("--horizon", type=int, default=None)
-    sweep.add_argument("--num-seeds", type=int, default=None)
-    sweep.add_argument("--base-seed", type=int, default=None)
-    sweep.add_argument("--min-knot-size", type=int, default=None)
-    sweep.add_argument("--workers", type=int, default=None,
-                       help=f"parallel cells (default ${WORKERS_ENV} or 1)")
-    sweep.add_argument("--out", default=None, help="CSV path")
+    for setting in fields(ExperimentConfig):  # text, for _config_value
+        sweep.add_argument("--" + setting.name.replace("_", "-"),
+                           help=setting.metadata.get("help"))
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

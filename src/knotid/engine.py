@@ -53,7 +53,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .graph import Knot, TemporalEdge, knots_from_adjacency
 from .protocol import ProcessState, on_state, primary_tie_break
@@ -283,28 +283,30 @@ def verify(t: Trace) -> Verdict:
                    diagnostics=diagnostics)
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
+              comment: Optional[str] = None) -> None:
+    """UTF-8 CSV with LF line ends: an optional ``# comment`` line, then the
+    header and rows. A ``None`` field is written empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trace_csv(t: Trace, path: str) -> None:
     """Per-process outputs: ``process,output_round,knot_members``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["process", "output_round", "knot_members"])
-        for pid in range(t.n):
-            entry = t.outputs.get(pid)
-            if entry is None:
-                writer.writerow([pid, "", ""])
-            else:
-                knot, round_index = entry
-                writer.writerow([pid, round_index, fmt_knot(knot)])
+    entries = ((pid, t.outputs.get(pid)) for pid in range(t.n))
+    write_csv(path, ("process", "output_round", "knot_members"),
+              ((pid, None, None) if entry is None
+               else (pid, entry[1], fmt_knot(entry[0]))
+               for pid, entry in entries))
 
 
 def write_round_metrics_csv(t: Trace, path: str) -> None:
     """Per-round traffic: ``round,messages,payload_edges``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "messages", "payload_edges"])
-        for metric in t.round_metrics:
-            writer.writerow([metric.round, metric.messages,
-                             metric.payload_edges])
+    write_csv(path, RoundMetric._fields, t.round_metrics)
 
 
 def write_diagnostics_jsonl(verdict: Verdict, path: str) -> None:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 from random import Random
 
@@ -12,6 +13,7 @@ from knotid import Schedule, load_schedule, save_schedule, worst_case_schedule
 from knotid.cli import (
     ConfigError,
     ExperimentConfig,
+    build_parser,
     config_from_sources,
     main,
     parse_int_list,
@@ -346,6 +348,17 @@ class TestSweepCmd:
                      "--out", str(out)])
         assert code == 0 and out.exists()
 
+    def test_every_setting_is_a_flag_and_each_data_setting_a_header_key(
+            self):
+        names = [f.name for f in fields(ExperimentConfig)]
+        for name in names:
+            args = build_parser().parse_args(
+                ["sweep", "--" + name.replace("_", "-"), "7"])
+            assert getattr(args, name) == "7"
+        keys = [item.split("=")[0]
+                for item in ExperimentConfig().canonical().split()]
+        assert keys == sorted(set(names) - {"workers", "out"})
+
     def test_cell_seeds_are_base_plus_index(self):
         cfg = ExperimentConfig(n=10, cycle_sizes=(3, 4), edges_per_round=(2,),
                                horizon=120, num_seeds=2, base_seed=100)
@@ -360,10 +373,12 @@ CONFIG = ["sweep", "--config", "exp.cfg", "--out", "x.csv"]
 
 class TestUsageErrors:
     """Bad flags and config files exit 2 before any cell runs or any file is
-    written; config file errors name the file and line."""
+    written; config file errors name the file and line. A bad value reads
+    the same from a flag and from a config line, but for the prefix."""
 
     @pytest.mark.parametrize("argv, config, message", [
-        ([*SWEEP, "--n", "1"], None, "n must be at least 2"),
+        ([*SWEEP, "--n", "1"], None, "n must be in 2..10000"),
+        ([*SWEEP, "--n", "20000"], None, "n must be in 2..10000"),
         ([*SWEEP, "--num-seeds", "0"], None, "num_seeds must be at least 1"),
         ([*SWEEP, "--base-seed", "-1"], None, "base_seed must be at least 0"),
         ([*SWEEP, "--min-knot-size", "1"], None,
@@ -382,6 +397,11 @@ class TestUsageErrors:
          "cannot read config file ."),
         (CONFIG, "n = 12\nhorizon 10\n", "exp.cfg:2: expected key=value"),
         (CONFIG, "n = 12\n\nn = abc\n", "exp.cfg:3: bad integer for n: 'abc'"),
+        ([*SWEEP, "--n", "x"], None, "bad integer for n: 'x'\n"),
+        (CONFIG, "n = x\n", "exp.cfg:1: bad integer for n: 'x'\n"),
+        (CONFIG, "n = 12\nn = 14\n", "exp.cfg:2: repeated key 'n'"),
+        ([*SWEEP, "--out", "nodir/x.csv"], None,
+         "[Errno 2] No such file or directory: 'nodir/x.csv'"),
         (CONFIG, "# grid\nbogus = 1\n", "exp.cfg:2: unknown config key 'bogus'"),
         (CONFIG, "n = 12\ncycle_sizes = 1:\n", "exp.cfg:2: bad range '1:'"),
         (["run", "--worst-case", "1", "--out", "x"], None,
@@ -393,11 +413,12 @@ class TestUsageErrors:
          "horizon must be in 1..100000"),
         (["run", "--horizon", "0", "--out", "x"], None,
          "horizon must be in 1..100000"),
-    ], ids=["n", "num-seeds", "base-seed", "min-knot-size", "workers",
+    ], ids=["n", "n-cap", "num-seeds", "base-seed", "min-knot-size", "workers",
             "edges-per-round", "range-parts", "range-int", "cells-seeds",
             "cells-ranges",
             "config-unreadable", "config-no-equals", "config-int",
-            "config-key", "config-range", "worst-case-1",
+            "flag-int-x", "config-int-x", "config-repeated-key",
+            "out-unwritable", "config-key", "config-range", "worst-case-1",
             "config-base-seed", "gen-seed", "gen-horizon", "run-horizon"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         argv, config, message):

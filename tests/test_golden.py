@@ -66,6 +66,16 @@ def test_output_matches_golden_bytes(tmp_path, name):
     _assert_golden(tmp_path, name, *CASES[name])
 
 
+def test_config_file_sweep_matches_golden_bytes(tmp_path):
+    """``SWEEP``'s settings read from a config file write the same bytes."""
+    config = tmp_path / "exp.cfg"
+    config.write_text("n = 12\ncycle_sizes = 3,6\nedges_per_round = 1,3\n"
+                      "horizon = 300\nnum_seeds = 2\n", encoding="utf-8")
+    _assert_golden(tmp_path, "sweep.csv",
+                   ["sweep", "--config", str(config),
+                    "--out", "{out}/sweep.csv"], 0)
+
+
 def test_worker_pool_sweep_matches_golden_bytes(tmp_path):
     """Cells run in worker processes draw the same rounds."""
     _assert_golden(tmp_path, "sweep_h40.csv", SWEEP_H40 + ["--workers", "2"], 1)

@@ -26,9 +26,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Dict, Iterable, Iterator
-
-from .graph import Knot, knots_from_adjacency
+from typing import Iterable, Iterator, Tuple
 
 MAX_PROCESSES = 10_000
 MAX_HORIZON = 100_000
@@ -99,56 +97,80 @@ def save_schedule(s: Schedule, path: str) -> None:
                 fh.write(f"{src} {dst} {index}\n")
 
 
+# The one number grammar for user text: ASCII digits and an optional leading
+# minus. Flags, config lines, $KNOTID_WORKERS and the header's seed take it;
+# the header's counts and the edge fields take it without the minus.
+INT = "-?[0-9]+"
 _HEADER = re.compile(
-    r"n=([0-9]+) horizon=([0-9]+) seed=(-?[0-9]+) params=(\S*)")
+    rf"n=([0-9]+) horizon=([0-9]+) seed=({INT}) params=(\S*)")
 # A blank line, or three ASCII decimal fields split by ASCII whitespace.
 _EDGE_LINE = re.compile(r"\s*(?:([0-9]+)\s+([0-9]+)\s+([0-9]+)\s*)?",
                         re.ASCII)
 
 
+def integer(text: str, name: str = "value") -> int:
+    """``text`` as an int if it fully matches ``INT``, else ValueError: a
+    plus sign, an underscore, whitespace or a non-ASCII digit all fail."""
+    if re.fullmatch(INT, text) is None:
+        raise ValueError(f"bad integer for {name}: {text!r}")
+    return int(text)
+
+
+def numbered_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` for each LF-ended line of ``path``, read in
+    binary and decoded one line at a time, so a line that is not UTF-8
+    raises ValueError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, text
+
+
 def load_schedule(path: str) -> Schedule:
     """Read a file written by ``save_schedule``; blank lines are skipped.
-    Any defect raises ValueError naming ``path:line``: a header not in
+    Any defect raises ValueError naming ``path:line``: a line that is not
+    UTF-8, a header not in
     exactly that form once ASCII whitespace is stripped (so also an unknown,
     repeated, missing or negative field), n < 2, n or horizon above its cap,
     or an edge line that is not three ASCII decimal fields (a sign, an
     underscore, a non-ASCII digit or non-ASCII whitespace all count), is a
     self-loop, names a process outside 0..n-1, is stamped outside the
     horizon or repeats an earlier line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip(" \t\n\r\f\v")
-        match = _HEADER.fullmatch(header)
-        if match is None:
-            raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
-                             "horizon=<int> seed=<int> params=<text>'")
-        n, horizon, seed = (int(g) for g in match.groups()[:3])
-        if n < 2:
-            raise ValueError(f"{path}:1: need at least two processes, "
-                             f"got n={n}")
-        _check_caps(n, horizon, f"{path}:1: ")
-        buckets: list = [set() for _ in range(horizon)]
-        for lineno, raw in enumerate(fh, start=2):
-            fields = _EDGE_LINE.fullmatch(raw)
-            if fields is None:
-                raise ValueError(f"{path}:{lineno}: malformed edge line "
-                                 f"{raw.strip()!r}: want three ASCII decimal "
-                                 "fields")
-            if fields.group(1) is None:
-                continue
-            src, dst, stamp = map(int, fields.groups())
-            if src == dst:
-                problem = "is a self-loop"
-            elif not 1 <= stamp <= horizon:
-                problem = f"stamped outside 1..{horizon}"
-            elif src >= n or dst >= n:
-                problem = f"names a process outside 0..{n - 1}"
-            elif (src, dst) in buckets[stamp - 1]:
-                problem = "repeats an earlier line"
-            else:
-                buckets[stamp - 1].add((src, dst))
-                continue
-            raise ValueError(
-                f"{path}:{lineno}: edge {src} {dst} {stamp} {problem}")
+    lines = numbered_lines(path)
+    header = next(lines, (1, ""))[1].strip(" \t\n\r\f\v")
+    match = _HEADER.fullmatch(header)
+    if match is None:
+        raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
+                         "horizon=<int> seed=<int> params=<text>'")
+    n, horizon, seed = (int(g) for g in match.groups()[:3])
+    if n < 2:
+        raise ValueError(f"{path}:1: need at least two processes, got n={n}")
+    _check_caps(n, horizon, f"{path}:1: ")
+    buckets: list = [set() for _ in range(horizon)]
+    for lineno, raw in lines:
+        fields = _EDGE_LINE.fullmatch(raw)
+        if fields is None:
+            raise ValueError(f"{path}:{lineno}: malformed edge line "
+                             f"{raw.strip()!r}: want three ASCII decimal "
+                             "fields")
+        if fields.group(1) is None:
+            continue
+        src, dst, stamp = map(int, fields.groups())
+        if src == dst:
+            problem = "is a self-loop"
+        elif not 1 <= stamp <= horizon:
+            problem = f"stamped outside 1..{horizon}"
+        elif src >= n or dst >= n:
+            problem = f"names a process outside 0..{n - 1}"
+        elif (src, dst) in buckets[stamp - 1]:
+            problem = "repeats an earlier line"
+        else:
+            buckets[stamp - 1].add((src, dst))
+            continue
+        raise ValueError(f"{path}:{lineno}: edge {src} {dst} {stamp} {problem}")
     return Schedule(n=n, states=buckets, params=match.group(4), seed=seed)
 
 
@@ -189,13 +211,7 @@ def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     for new in range(cycle_size, n):
         parent = rng.randrange(new)  # every id below `new` is already connected
         tree.append((parent, new))
-    backbone = Backbone(n=n, cycle=cycle, tree_edges=tuple(tree), seed=rng_seed)
-    preds: dict = {v: [] for v in range(n)}
-    for src, dst in backbone.edges:
-        preds[dst].append(src)
-    if knots_from_adjacency(range(n), preds.__getitem__) != [Knot(cycle)]:
-        raise RuntimeError("generated backbone lost its unique-knot invariant")
-    return backbone
+    return Backbone(n=n, cycle=cycle, tree_edges=tuple(tree), seed=rng_seed)
 
 
 def computation_rounds(backbone: Backbone, edges_per_state: int,
@@ -254,15 +270,10 @@ def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
     nothing to re-stamp, which preserves every causality relation of the
     original schedule.
     """
-    counts: Dict[int, int] = {}
-    for pos in positions:
+    states = list(s.states)
+    for pos in sorted(positions, reverse=True):  # keeps lower indices valid
         if not 1 <= pos <= s.horizon + 1:
             raise ValueError(
                 f"insert position {pos} outside 1..{s.horizon + 1}")
-        counts[pos] = counts.get(pos, 0) + 1
-    states: list = []
-    for original, state in enumerate(s.states, start=1):
-        states.extend([frozenset()] * counts.get(original, 0))
-        states.append(state)
-    states.extend([frozenset()] * counts.get(s.horizon + 1, 0))
+        states.insert(pos - 1, frozenset())
     return Schedule(n=s.n, states=tuple(states), params=s.params, seed=s.seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -28,13 +29,16 @@ from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from .adversary import (
+    INT,
     MAX_HORIZON,
     MAX_PROCESSES,
     Schedule,
     computation_rounds,
     gen_backbone,
     gen_computation,
+    integer,
     load_schedule,
+    numbered_lines,
     save_schedule,
     worst_case_schedule,
 )
@@ -54,38 +58,32 @@ WORKERS_ENV = "KNOTID_WORKERS"
 MAX_SWEEP_CELLS = 100_000
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
+
+
+_RANGE = re.compile(rf"({INT})(?::({INT})(?::({INT}))?)?")
 
 
 def parse_int_list(text: str) -> Tuple[int, ...]:
     """Comma-separated ints where each item may be a start:stop[:step]
-    range, stop inclusive. Example: "2,4:10:2" -> (2, 4, 6, 8, 10)."""
+    range, stop inclusive, and each number must match ``INT`` whole (no
+    spaces). Example: "2,4:10:2" -> (2, 4, 6, 8, 10)."""
     values: List[int] = []
     for item in text.split(","):
-        item = item.strip()
-        if not item:
+        match = _RANGE.fullmatch(item)
+        if match is None:
+            raise ConfigError(f"bad range {item!r}, want start:stop[:step]"
+                              if ":" in item else f"bad integer {item!r}")
+        start, stop, step = match.groups()
+        if stop is None:
+            values.append(integer(start))
             continue
-        if ":" in item:
-            parts = item.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"bad range {item!r}, want start:stop[:step]")
-            try:
-                start, stop = int(parts[0]), int(parts[1])
-                step = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError as exc:
-                raise ConfigError(f"bad range {item!r}: {exc}") from exc
-            if step <= 0 or not 0 <= start <= stop <= MAX_PROCESSES:
-                raise ConfigError(f"bad range {item!r}, want step >= 1 and "
-                                  f"0 <= start <= stop <= {MAX_PROCESSES}")
-            values.extend(range(start, stop + 1, step))
-        else:
-            try:
-                values.append(int(item))
-            except ValueError as exc:
-                raise ConfigError(f"bad integer {item!r}") from exc
-    if not values:
-        raise ConfigError(f"empty integer list {text!r}")
+        start, stop, step = integer(start), integer(stop), integer(step or "1")
+        if step <= 0 or not 0 <= start <= stop <= MAX_PROCESSES:
+            raise ConfigError(f"bad range {item!r}, want step >= 1 and "
+                              f"0 <= start <= stop <= {MAX_PROCESSES}")
+        values.extend(range(start, stop + 1, step))
     return tuple(values)
 
 
@@ -152,21 +150,20 @@ def read_config_file(path: str) -> dict:
     """key=value lines, '#' starts a comment; a key may appear once."""
     raw: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = map(str.strip, line.partition("="))
-                try:
-                    if not sep:
-                        raise ConfigError("expected key=value")
-                    value = _config_value(key, value)
-                    if key in raw:
-                        raise ConfigError(f"repeated key {key!r}")
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-                raw[key] = value
+        for lineno, line in numbered_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = map(str.strip, line.partition("="))
+            try:
+                if not sep:
+                    raise ConfigError("expected key=value")
+                value = _config_value(key, value)
+                if key in raw:
+                    raise ConfigError(f"repeated key {key!r}")
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raw[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
@@ -178,15 +175,10 @@ def _config_value(key: str, value):
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     if key not in defaults:
         raise ConfigError(f"unknown config key {key!r}")
-    if not isinstance(value, str):
-        return value
-    if isinstance(defaults[key], tuple):
+    if isinstance(value, str) and isinstance(defaults[key], tuple):
         return parse_int_list(value)
-    if isinstance(defaults[key], int):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for {key}: {value!r}") from exc
+    if isinstance(value, str) and isinstance(defaults[key], int):
+        return integer(value, key)
     return value
 
 
@@ -349,9 +341,9 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
                       ("edges_per_round", "backbone edges appearing per round"),
                       ("horizon", "number of rounds to generate"),
                       ("seed", "generator seed")):
-        parser.add_argument("--" + key.replace("_", "-"), type=int,
+        parser.add_argument("--" + key.replace("_", "-"), type=integer,
                             help=f"{text} (default {_GENERATOR_DEFAULTS[key]})")
-    parser.add_argument("--worst-case", type=int, metavar="N", default=None,
+    parser.add_argument("--worst-case", type=integer, metavar="N", default=None,
                         help="emit the deterministic 2N-1 round worst case "
                              "instead of a backbone computation")
 
@@ -434,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("schedule", nargs="?", default=None,
                       help="schedule file (otherwise generate from flags)")
     _add_generator_flags(runp)
-    runp.add_argument("--min-knot-size", type=int, default=2)
+    runp.add_argument("--min-knot-size", type=integer, default=2)
     runp.add_argument("--out", default="run",
                       help="output prefix for trace files (default 'run')")
     runp.set_defaults(func=cmd_run)
@@ -442,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     verifyp = sub.add_parser(
         "verify", help="report primary uniformity of a schedule file")
     verifyp.add_argument("schedule")
-    verifyp.add_argument("--min-knot-size", type=int, default=2)
+    verifyp.add_argument("--min-knot-size", type=integer, default=2)
     verifyp.add_argument("--json", default=None,
                          help="also write a JSON report to this path")
     verifyp.set_defaults(func=cmd_verify)
@@ -462,7 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

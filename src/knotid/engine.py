@@ -208,7 +208,7 @@ def reference_run(schedule, min_knot_size: int = 2) -> Trace:
     """
     if min_knot_size < 2:
         raise ValueError("min_knot_size must be at least 2")
-    procs = [ProcessState.fresh(pid) for pid in range(schedule.n)]
+    procs = [ProcessState(pid) for pid in range(schedule.n)]
     metrics: List[RoundMetric] = []
     for round_index, state in enumerate(schedule.states, start=1):
         pre = [p.lg for p in procs]

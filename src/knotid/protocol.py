@@ -36,10 +36,6 @@ class ProcessState:
     output: Optional[tuple] = None
     observation_log: tuple = ()
 
-    @classmethod
-    def fresh(cls, pid: ProcessId) -> "ProcessState":
-        return cls(self_id=pid)
-
 
 def primary_tie_break(knots: Iterable[Knot]) -> Knot:
     """Pick one knot from several observed in the same round: smallest by

@@ -23,8 +23,22 @@ from knotid import (
     verify,
     worst_case_schedule,
 )
-from knotid.adversary import MAX_HORIZON, MAX_PROCESSES
+from knotid.adversary import MAX_HORIZON, MAX_PROCESSES, integer
 from util import disjoint_two_cycles_schedule
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("12", 12), ("-7", -7), ("007", 7)])
+    def test_ascii_digits_with_an_optional_minus(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "-", "+3", "1_2", " 12", "12 ", "12\n", "\u0661\u0662", "--1",
+        "0x10", "1e3"])
+    def test_every_other_form_is_refused(self, text):
+        with pytest.raises(ValueError, match="bad integer for n: "):
+            integer(text, "n")
 
 
 class TestSchedule:

@@ -41,6 +41,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_int_list("")
 
+    @pytest.mark.parametrize("text", [
+        "3, 4", "3,,4", "3,", " 3", "+3", "3:+4", "1_0:12", "3:4:\u0661"])
+    def test_every_item_takes_the_number_grammar(self, text):
+        with pytest.raises(ConfigError):
+            parse_int_list(text)
+
     def test_flags_override_file(self):
         cfg = config_from_sources(
             {"n": "30", "cycle_sizes": "5", "horizon": "100"},
@@ -441,6 +447,117 @@ class TestUsageErrors:
         assert peak < 8 * 2**20  # the grid is refused, not built
         assert [p.name for p in tmp_path.iterdir()] \
             == ([] if config is None else ["exp.cfg"])
+
+
+# Forms Python's ``int`` takes that the one number grammar refuses: a plus
+# sign, an underscore, a leading space and Arabic-Indic digits.
+NOT_INTEGERS = ["+3", "1_2", " 12", "\u0661\u0662"]
+INT_FLAGS = [("gen", flag) for flag in (
+    "--n", "--cycle-size", "--edges-per-round", "--horizon", "--seed",
+    "--worst-case")] + [("run", flag) for flag in (
+        "--n", "--cycle-size", "--edges-per-round", "--horizon", "--seed",
+        "--worst-case", "--min-knot-size")] + [("verify", "--min-knot-size")]
+
+
+class TestInputRules:
+    """Every integer a user types takes one grammar, ASCII digits with an
+    optional leading minus, and a file that is not UTF-8 names the line."""
+
+    @pytest.fixture
+    def refuse_cells(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def no_sweep(cfg):
+            raise AssertionError("a rejected sweep reached its cells")
+
+        monkeypatch.setattr("knotid.cli.run_sweep", no_sweep)
+
+    @pytest.mark.parametrize("form", NOT_INTEGERS)
+    @pytest.mark.parametrize("command, flag", INT_FLAGS)
+    def test_int_flags_refuse_other_forms(self, tmp_path, capsys,
+                                          monkeypatch, command, flag, form):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, flag, form]
+        if command == "verify":
+            argv.append("missing.txt")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert (f"argument {flag}: invalid integer value: {form!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("form", NOT_INTEGERS)
+    @pytest.mark.parametrize("flag", [
+        "--n", "--horizon", "--num-seeds", "--base-seed", "--min-knot-size",
+        "--workers", "--cycle-sizes", "--edges-per-round"])
+    def test_sweep_flags_refuse_other_forms(self, tmp_path, capsys,
+                                            refuse_cells, flag, form):
+        assert main([*SWEEP, flag, form]) == 2
+        assert capsys.readouterr().err.startswith("error: bad integer ")
+        assert list(tmp_path.iterdir()) == []
+
+    # Spaces around '=' belong to the line, not the value, so the leading
+    # space is tried where it is part of a value: inside a list.
+    @pytest.mark.parametrize("line", [
+        *(f"num_seeds = {form}" for form in NOT_INTEGERS if form[0] != " "),
+        *(f"cycle_sizes = 3,{form}" for form in NOT_INTEGERS)])
+    def test_config_lines_refuse_other_forms(self, tmp_path, capsys,
+                                             refuse_cells, line):
+        (tmp_path / "exp.cfg").write_text(f"n = 12\n{line}\n",
+                                          encoding="utf-8")
+        assert main(CONFIG) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: exp.cfg:2: bad integer ")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("form", NOT_INTEGERS)
+    def test_workers_env_refuses_other_forms(self, tmp_path, capsys,
+                                             monkeypatch, refuse_cells, form):
+        monkeypatch.setenv("KNOTID_WORKERS", form)
+        assert main(SWEEP) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad integer for workers: {form!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_byte_not_utf8_names_its_line(self, tmp_path, capsys,
+                                                 refuse_cells):
+        (tmp_path / "exp.cfg").write_bytes(b"n = \xff12\n")
+        assert main(CONFIG) == 2
+        assert capsys.readouterr().err.startswith("error: exp.cfg:1: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_schedule_byte_not_utf8_names_its_line(self, tmp_path, capsys):
+        lines = [b"n=3 horizon=3000 seed=0 params=x\n"]
+        lines += [b"0 1 %d\n" % r for r in range(1, 3001)]
+        lines[2500] = b"0 1 \xff\n"
+        assert len(b"".join(lines[:2500])) > 8192  # past the first chunk
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(lines))
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2501: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
+
+    def test_crlf_config_reads_as_lf(self, tmp_path):
+        text = ("# grid\nn = 12\ncycle_sizes = 3,6\nedges_per_round = 1:3\n"
+                "horizon = 300\nnum_seeds = 2\n")
+        for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / f"{name}.cfg").write_bytes(
+                text.replace("\n", line_end).encode("ascii"))
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.cfg"),
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert ((tmp_path / "crlf.csv").read_bytes()
+                == (tmp_path / "lf.csv").read_bytes())
+
+    def test_lone_cr_is_not_a_line_end(self, tmp_path, capsys, refuse_cells):
+        (tmp_path / "exp.cfg").write_bytes(b"n = 12\rhorizon = 10\r")
+        assert main(CONFIG) == 2
+        assert capsys.readouterr().err == (
+            "error: exp.cfg:1: bad integer for n: '12\\rhorizon = 10'\n")
+        (tmp_path / "s.txt").write_bytes(
+            b"n=3 horizon=1 seed=0 params=x\r0 1 1\r")
+        assert main(["run", "s.txt", "--out", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: s.txt:1: header ")
 
 
 # ``python -m`` puts its working directory first on sys.path, so running it

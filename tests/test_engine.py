@@ -150,7 +150,7 @@ class TestRun:
         # drive the pure state machine by hand and check every decision is a
         # knot of that process's own graph at the moment it was made
         from knotid import ProcessState, TemporalEdge, find_knots, on_state
-        states = {pid: ProcessState.fresh(pid) for pid in range(churn_schedule.n)}
+        states = {pid: ProcessState(pid) for pid in range(churn_schedule.n)}
         for round_index, state in enumerate(churn_schedule.states, start=1):
             edges = [TemporalEdge(src, dst, round_index) for src, dst in state]
             payloads = {e.src: states[e.src].lg for e in edges}

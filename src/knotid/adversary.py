@@ -26,21 +26,29 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 MAX_PROCESSES = 10_000
 MAX_HORIZON = 100_000
 
 
-def _check_caps(n: int = 0, horizon: int = 0, where: str = "") -> None:
-    """ValueError, prefixed by ``where``, for a value above its cap or an
-    ``n`` that is not an int of at least 0 (a bool is not)."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"{where}process count must be an int >= 0: {n!r}")
-    for name, value, cap in (("n", n, MAX_PROCESSES),
-                             ("horizon", horizon, MAX_HORIZON)):
-        if value > cap:
-            raise ValueError(f"{where}{name}={value} is above its cap {cap}")
+def bounded(name: str, value: int, low: int,
+            high: Optional[int] = None) -> None:
+    """ValueError unless ``low <= value`` and, if ``high`` is given,
+    ``value <= high``. This is the one statement of every bound on a count,
+    so a bound reads the same from a flag, a config line, a schedule header
+    and a library call; ``name`` may carry a ``path:line: `` prefix."""
+    if value < low or high is not None and value > high:
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+
+
+def _check_n(n, low: int = 0, where: str = "") -> None:
+    """ValueError, prefixed by ``where``, unless ``n`` is an int (a bool is
+    not) in low..MAX_PROCESSES."""
+    if type(n) is not int:
+        raise ValueError(f"{where}process count must be an int: {n!r}")
+    bounded(f"{where}n", n, low, MAX_PROCESSES)
 
 
 def _check_links(n: int, links, where: str) -> None:
@@ -75,7 +83,7 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_caps(n=self.n)
+        _check_n(self.n)
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
         for j, state in enumerate(states, start=1):
@@ -101,6 +109,9 @@ def save_schedule(s: Schedule, path: str) -> None:
 # minus. Flags, config lines, $KNOTID_WORKERS and the header's seed take it;
 # the header's counts and the edge fields take it without the minus.
 INT = "-?[0-9]+"
+# ASCII whitespace, the only kind a config line or a schedule line may be
+# padded with; ``\s`` under ``re.ASCII`` is the same set.
+SPACE = " \t\n\r\f\v"
 _HEADER = re.compile(
     rf"n=([0-9]+) horizon=([0-9]+) seed=({INT}) params=(\S*)")
 # A blank line, or three ASCII decimal fields split by ASCII whitespace.
@@ -132,23 +143,22 @@ def numbered_lines(path: str) -> Iterator[Tuple[int, str]]:
 def load_schedule(path: str) -> Schedule:
     """Read a file written by ``save_schedule``; blank lines are skipped.
     Any defect raises ValueError naming ``path:line``: a line that is not
-    UTF-8, a header not in
-    exactly that form once ASCII whitespace is stripped (so also an unknown,
-    repeated, missing or negative field), n < 2, n or horizon above its cap,
-    or an edge line that is not three ASCII decimal fields (a sign, an
-    underscore, a non-ASCII digit or non-ASCII whitespace all count), is a
-    self-loop, names a process outside 0..n-1, is stamped outside the
-    horizon or repeats an earlier line."""
+    UTF-8, a header not in exactly that form once ASCII whitespace is
+    stripped (so also an unknown, repeated, missing or negative field), n
+    outside 2..MAX_PROCESSES, a horizon above MAX_HORIZON, or an edge line
+    that is not three ASCII decimal fields (a sign, an underscore, a
+    non-ASCII digit or non-ASCII whitespace all count), is a self-loop,
+    names a process outside 0..n-1, is stamped outside the horizon or
+    repeats an earlier line."""
     lines = numbered_lines(path)
-    header = next(lines, (1, ""))[1].strip(" \t\n\r\f\v")
+    header = next(lines, (1, ""))[1].strip(SPACE)
     match = _HEADER.fullmatch(header)
     if match is None:
         raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
                          "horizon=<int> seed=<int> params=<text>'")
     n, horizon, seed = (int(g) for g in match.groups()[:3])
-    if n < 2:
-        raise ValueError(f"{path}:1: need at least two processes, got n={n}")
-    _check_caps(n, horizon, f"{path}:1: ")
+    _check_n(n, 2, f"{path}:1: ")
+    bounded(f"{path}:1: horizon", horizon, 0, MAX_HORIZON)
     buckets: list = [set() for _ in range(horizon)]
     for lineno, raw in lines:
         fields = _EDGE_LINE.fullmatch(raw)
@@ -200,11 +210,8 @@ class Backbone:
 def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     """Cycle over processes 0..cycle_size-1, remaining nodes attached one by
     one with a single outward edge from a uniformly chosen connected node."""
-    if n < 2:
-        raise ValueError("a backbone needs at least two processes")
-    _check_caps(n=n)
-    if not 2 <= cycle_size <= n:
-        raise ValueError(f"cycle_size must be in 2..{n}, got {cycle_size}")
+    _check_n(n, 2)
+    bounded("cycle_size", cycle_size, 2, n)
     rng = random.Random(rng_seed)
     cycle = tuple(range(cycle_size))
     tree = []
@@ -218,12 +225,11 @@ def computation_rounds(backbone: Backbone, edges_per_state: int,
                        rng_seed: int) -> Iterator[frozenset]:
     """A backbone computation's unbounded stream of rounds, each one
     ``edges_per_state`` distinct backbone links sampled independently and
-    uniformly. Its n and links are checked once, as in ``Schedule``."""
+    uniformly; its bound names it ``edges_per_round``, as the sweep and the
+    flags do. Its n and links are checked once, as in ``Schedule``."""
     pool = backbone.edges
-    _check_caps(n=backbone.n, where="backbone: ")
-    if not 1 <= edges_per_state <= len(pool):
-        raise ValueError(
-            f"edges_per_state must be in 1..{len(pool)}, got {edges_per_state}")
+    _check_n(backbone.n, where="backbone: ")
+    bounded("edges_per_round", edges_per_state, 1, len(pool))
     _check_links(backbone.n, pool, "backbone: ")
     sample = random.Random(rng_seed).sample
     return (frozenset(sample(pool, edges_per_state)) for _ in repeat(None))
@@ -233,9 +239,7 @@ def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
                     rng_seed: int) -> Schedule:
     """The first ``horizon`` rounds of ``computation_rounds``."""
     rounds = computation_rounds(backbone, edges_per_state, rng_seed)
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    _check_caps(horizon=horizon)
+    bounded("horizon", horizon, 0, MAX_HORIZON)
     params = (f"backbone:k={len(backbone.cycle)},m={edges_per_state},"
               f"bseed={backbone.seed}")
     return Schedule(n=backbone.n, states=tuple(islice(rounds, horizon)),
@@ -251,9 +255,7 @@ def worst_case_schedule(n: int) -> Schedule:
     same chain again so that each remaining process learns the knot one
     round later, the last one exactly at round 2n-1.
     """
-    if n < 2:
-        raise ValueError("need at least two processes")
-    _check_caps(n=n)
+    _check_n(n, 2)
     states = ([{(i, (i + 1) % n)} for i in range(n)]
               + [{(j, j + 1)} for j in range(n - 1)])
     return Schedule(n=n, states=tuple(states), params=f"worst_case:n={n}",

@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from random import Random
@@ -32,7 +31,9 @@ from .adversary import (
     INT,
     MAX_HORIZON,
     MAX_PROCESSES,
+    SPACE,
     Schedule,
+    bounded,
     computation_rounds,
     gen_backbone,
     gen_computation,
@@ -56,33 +57,31 @@ from .engine import (
 WORKERS_ENV = "KNOTID_WORKERS"
 # Sweep cells held at once: about 0.3 KiB each, 0.4 KiB with --workers > 1.
 MAX_SWEEP_CELLS = 100_000
+# Worker processes. Under the fork start method the pool starts all of them
+# at its first task, so a mistyped count would ask the OS for that many
+# processes at once; 256 is far above the cores a sweep can use.
+MAX_WORKERS = 256
+
+_RANGE = re.compile(rf"({INT}):({INT})(?::({INT}))?")
 
 
-class ConfigError(ValueError):
-    pass
-
-
-_RANGE = re.compile(rf"({INT})(?::({INT})(?::({INT}))?)?")
-
-
-def parse_int_list(text: str) -> Tuple[int, ...]:
+def parse_int_list(text: str, name: str = "value") -> Tuple[int, ...]:
     """Comma-separated ints where each item may be a start:stop[:step]
     range, stop inclusive, and each number must match ``INT`` whole (no
-    spaces). Example: "2,4:10:2" -> (2, 4, 6, 8, 10)."""
+    spaces). Example: "2,4:10:2" -> (2, 4, 6, 8, 10). Errors name ``name``."""
     values: List[int] = []
     for item in text.split(","):
+        if ":" not in item:
+            values.append(integer(item, name))
+            continue
         match = _RANGE.fullmatch(item)
         if match is None:
-            raise ConfigError(f"bad range {item!r}, want start:stop[:step]"
-                              if ":" in item else f"bad integer {item!r}")
-        start, stop, step = match.groups()
-        if stop is None:
-            values.append(integer(start))
-            continue
-        start, stop, step = integer(start), integer(stop), integer(step or "1")
+            raise ValueError(f"bad range for {name}: {item!r}, want "
+                             "start:stop[:step]")
+        start, stop, step = map(int, match.groups("1"))  # step 1 if absent
         if step <= 0 or not 0 <= start <= stop <= MAX_PROCESSES:
-            raise ConfigError(f"bad range {item!r}, want step >= 1 and "
-                              f"0 <= start <= stop <= {MAX_PROCESSES}")
+            raise ValueError(f"bad range for {name}: {item!r}, want step >= 1 "
+                             f"and 0 <= start <= stop <= {MAX_PROCESSES}")
         values.extend(range(start, stop + 1, step))
     return tuple(values)
 
@@ -110,28 +109,20 @@ class ExperimentConfig:
     RUN_ONLY = ("workers", "out")
 
     def validate(self) -> None:
-        if not 2 <= self.n <= MAX_PROCESSES:
-            raise ConfigError(f"n must be in 2..{MAX_PROCESSES}")
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
-        if self.num_seeds < 1:
-            raise ConfigError("num_seeds must be at least 1")
-        if self.base_seed < 0:  # Random(-s) would replay the cells of s
-            raise ConfigError("base_seed must be at least 0")
+        bounded("n", self.n, 2, MAX_PROCESSES)
+        bounded("horizon", self.horizon, 1, MAX_HORIZON)
+        bounded("num_seeds", self.num_seeds, 1)
+        bounded("base_seed", self.base_seed, 0)  # Random(-s) replays cell s
         cells = len(self.cycle_sizes) * len(self.edges_per_round) * self.num_seeds
         if cells > MAX_SWEEP_CELLS:
-            raise ConfigError(f"sweep grid of {cells} cells exceeds the cap "
-                              f"of {MAX_SWEEP_CELLS}")
-        if self.min_knot_size < 2:
-            raise ConfigError("min_knot_size must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+            raise ValueError(f"sweep grid of {cells} cells exceeds the cap "
+                             f"of {MAX_SWEEP_CELLS}")
+        bounded("min_knot_size", self.min_knot_size, 2)
+        bounded("workers", self.workers, 1, MAX_WORKERS)
         for k in self.cycle_sizes:
-            if not 2 <= k <= self.n:
-                raise ConfigError(f"cycle size {k} outside 2..{self.n}")
+            bounded("cycle_sizes", k, 2, self.n)
         for m in self.edges_per_round:
-            if not 1 <= m <= self.n:
-                raise ConfigError(f"edges per round {m} outside 1..{self.n}")
+            bounded("edges_per_round", m, 1, self.n)
 
     def canonical(self) -> str:
         """``key=value`` for every field but the run-only ones, keys sorted
@@ -151,21 +142,22 @@ def read_config_file(path: str) -> dict:
     raw: dict = {}
     try:
         for lineno, line in numbered_lines(path):
-            line = line.split("#", 1)[0].strip()
+            line = line.split("#", 1)[0].strip(SPACE)
             if not line:
                 continue
-            key, sep, value = map(str.strip, line.partition("="))
+            key, sep, value = (part.strip(SPACE)
+                               for part in line.partition("="))
             try:
                 if not sep:
-                    raise ConfigError("expected key=value")
+                    raise ValueError("expected key=value")
                 value = _config_value(key, value)
                 if key in raw:
-                    raise ConfigError(f"repeated key {key!r}")
+                    raise ValueError(f"repeated key {key!r}")
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             raw[key] = value
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return raw
 
 
@@ -174,9 +166,9 @@ def _config_value(key: str, value):
     Flags, config lines and ``$KNOTID_WORKERS`` all arrive as text."""
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     if key not in defaults:
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ValueError(f"unknown config key {key!r}")
     if isinstance(value, str) and isinstance(defaults[key], tuple):
-        return parse_int_list(value)
+        return parse_int_list(value, key)
     if isinstance(value, str) and isinstance(defaults[key], int):
         return integer(value, key)
     return value
@@ -251,6 +243,9 @@ def run_sweep(cfg: ExperimentConfig) -> Tuple[List[CellResult], List[MeanRow]]:
               cfg.base_seed + g * size + s)
              for g, (k, m) in enumerate(groups) for s in range(size)]
     if cfg.workers > 1:
+        # Imported here: the pool's modules are a large share of this
+        # module's cold import, and a serial sweep never needs them.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = 1 + len(tasks) // (64 * cfg.workers)  # 64 chunks a worker
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             cells = list(pool.map(_run_cell, tasks, chunksize=chunk))
@@ -309,8 +304,8 @@ def _reject_given(args: argparse.Namespace, keys, source: str) -> None:
     given = ["--" + key.replace("_", "-") for key in keys
              if getattr(args, key) is not None]
     if given:
-        raise ConfigError(f"{', '.join(given)}: generator flags cannot "
-                          f"be combined with {source}")
+        raise ValueError(f"{', '.join(given)}: generator flags cannot "
+                         f"be combined with {source}")
 
 
 def _schedule_from_args(args: argparse.Namespace) -> Schedule:
@@ -320,16 +315,12 @@ def _schedule_from_args(args: argparse.Namespace) -> Schedule:
         return load_schedule(args.schedule)
     if args.worst_case is not None:
         _reject_given(args, _GENERATOR_DEFAULTS, "--worst-case")
-        if args.worst_case < 2:
-            raise ConfigError("--worst-case needs at least 2 processes")
         return worst_case_schedule(args.worst_case)
     n, cycle_size, edges_per_round, horizon, seed = (
         default if getattr(args, key) is None else getattr(args, key)
         for key, default in _GENERATOR_DEFAULTS.items())
-    if seed < 0:  # Random(-s) would replay the rounds of s
-        raise ConfigError("--seed must be at least 0")
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise ConfigError(f"horizon must be in 1..{MAX_HORIZON}")
+    bounded("seed", seed, 0)  # Random(-s) would replay the rounds of s
+    bounded("horizon", horizon, 1, MAX_HORIZON)
     backbone, computation_seed = _seeded_backbone(n, cycle_size, seed)
     return gen_computation(backbone, edges_per_round, horizon,
                            computation_seed)

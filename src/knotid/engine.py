@@ -55,6 +55,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
+from .adversary import bounded
 from .graph import Knot, TemporalEdge, knots_from_adjacency
 from .protocol import ProcessState, on_state, primary_tie_break
 
@@ -127,8 +128,7 @@ def run(schedule, min_knot_size: int = 2,
     a run in which some process never decides runs every round. The knot
     memo holds each searched arc set under its mask and its core.
     """
-    if min_knot_size < 2:
-        raise ValueError("min_knot_size must be at least 2")
+    bounded("min_knot_size", min_knot_size, 2)
     n = schedule.n
     arc_bits: Dict[tuple, int] = {}  # (src, dst) -> 1 << dense arc id
     in_arcs: Dict[int, list] = {}    # node -> [(1 << arc id, src)] into it
@@ -206,8 +206,7 @@ def reference_run(schedule, min_knot_size: int = 2) -> Trace:
     passes once over ``states``. Each round's receipts carry the senders'
     pre-round graphs, and a payload counts its sender's known edges.
     """
-    if min_knot_size < 2:
-        raise ValueError("min_knot_size must be at least 2")
+    bounded("min_knot_size", min_knot_size, 2)
     procs = [ProcessState(pid) for pid in range(schedule.n)]
     metrics: List[RoundMetric] = []
     for round_index, state in enumerate(schedule.states, start=1):

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .adversary import bounded
+
 ProcessId = int
 
 
@@ -79,8 +81,7 @@ def knots_from_adjacency(seeds: Iterable[ProcessId],
     engine seeds it with the receiver alone, which every node of its graph
     reaches.
     """
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
+    bounded("min_knot_size", min_size, 2)
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
@@ -147,8 +148,7 @@ def reachability_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list
     knot; groups below min_size are dropped. Same contract and ordering as
     ``find_knots``, but no SCC machinery is shared.
     """
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
+    bounded("min_knot_size", min_size, 2)
     successors: dict = {}
     for e in edges:
         successors.setdefault(e.src, set()).add(e.dst)

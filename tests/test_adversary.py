@@ -63,7 +63,8 @@ class TestSchedule:
         "n", [2.5, True, MAX_PROCESSES + 1],
         ids=["float-n", "bool-n", "n-above-cap"])
     def test_bad_process_count_rejected(self, n):
-        with pytest.raises(ValueError, match="process count|above its cap"):
+        with pytest.raises(ValueError, match="^process count must be an int: "
+                                             "|^n must be in 0..10000, got"):
             Schedule(n, [])
 
     def test_params_must_not_contain_whitespace(self):
@@ -166,7 +167,8 @@ class TestGenComputation:
         "n, links, problem",
         [(6, ((2, 2),), "self-loop"), (6, ((0, 6),), "names a process"),
          (6, ((0.5, 1),), "names a process"), (6.5, (), "process count"),
-         (True, (), "process count"), (MAX_PROCESSES + 1, (), "above its cap")],
+         (True, (), "process count"),
+         (MAX_PROCESSES + 1, (), "n must be in 0..10000, got 10001")],
         ids=["self-loop", "foreign-id", "float-id", "float-n", "bool-n",
              "n-above-cap"])
     def test_rounds_stream_checks_the_backbone(self, n, links, problem):
@@ -191,15 +193,24 @@ class TestCaps:
 
     @pytest.mark.parametrize("n", [MAX_PROCESSES + 1, 10**12])
     def test_process_cap(self, n):
-        with pytest.raises(ValueError, match=f"n={n} is above its cap"):
+        message = f"^n must be in 2..{MAX_PROCESSES}, got {n}$"
+        with pytest.raises(ValueError, match=message):
             gen_backbone(n, 4, 0)
-        with pytest.raises(ValueError, match=f"n={n} is above its cap"):
+        with pytest.raises(ValueError, match=message):
             worst_case_schedule(n)
+
+    @pytest.mark.parametrize("make", [lambda n: gen_backbone(n, 2, 0),
+                                      worst_case_schedule],
+                             ids=["gen_backbone", "worst_case_schedule"])
+    def test_process_count_must_be_an_int(self, make):
+        with pytest.raises(ValueError,
+                           match="^process count must be an int: 2.5$"):
+            make(2.5)
 
     @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**12])
     def test_horizon_cap(self, horizon):
-        with pytest.raises(ValueError,
-                           match=f"horizon={horizon} is above its cap"):
+        message = f"^horizon must be in 0..{MAX_HORIZON}, got {horizon}$"
+        with pytest.raises(ValueError, match=message):
             gen_computation(gen_backbone(6, 3, 1), 2, horizon, 1)
 
 

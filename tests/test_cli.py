@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,6 @@ import pytest
 import knotid
 from knotid import Schedule, load_schedule, save_schedule, worst_case_schedule
 from knotid.cli import (
-    ConfigError,
     ExperimentConfig,
     build_parser,
     config_from_sources,
@@ -32,19 +32,23 @@ class TestParsing:
         assert parse_int_list("1,4:6") == (1, 4, 5, 6)
 
     def test_bad_values(self):
-        with pytest.raises(ConfigError):
-            parse_int_list("abc")
-        with pytest.raises(ConfigError):
-            parse_int_list("5:2")
-        with pytest.raises(ConfigError):
-            parse_int_list("-1:3")
-        with pytest.raises(ConfigError):
-            parse_int_list("")
+        for text, message in [
+                ("abc", "bad integer for cycle_sizes: 'abc'"),
+                ("5:2", "bad range for cycle_sizes: '5:2', want step >= 1 "
+                        "and 0 <= start <= stop <= 10000"),
+                ("-1:3", "bad range for cycle_sizes: '-1:3', want step >= 1 "
+                         "and 0 <= start <= stop <= 10000"),
+                ("", "bad integer for cycle_sizes: ''")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_int_list(text, "cycle_sizes")
 
     @pytest.mark.parametrize("text", [
         "3, 4", "3,,4", "3,", " 3", "+3", "3:+4", "1_0:12", "3:4:\u0661"])
     def test_every_item_takes_the_number_grammar(self, text):
-        with pytest.raises(ConfigError):
+        bad = [item for item in text.split(",") if not item.isdigit()][0]
+        message = (f"bad range for value: {bad!r}, want start:stop[:step]"
+                   if ":" in bad else f"bad integer for value: {bad!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_int_list(text)
 
     def test_flags_override_file(self):
@@ -57,11 +61,12 @@ class TestParsing:
         assert cfg.horizon == 100
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^unknown config key 'bogus'$"):
             config_from_sources({"bogus": "1"}, {})
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^cycle_sizes must be in "
+                                             "2..100, got 200$"):
             config_from_sources({}, {"cycle_sizes": "200"})  # exceeds n
 
 
@@ -102,7 +107,8 @@ class TestGenRun:
         monkeypatch.chdir(tmp_path)  # where run writes its default files
         save_schedule(Schedule(3, [[]]), "empty.txt")
         assert main([command, "empty.txt", "--min-knot-size", "1"]) == 2
-        assert "at least 2" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == "error: min_knot_size must be at least 2, got 1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
 
     def test_run_writes_all_three_files(self, tmp_path):
@@ -199,14 +205,16 @@ class TestGenRun:
         assert load_schedule(str(path)) == Schedule(3, [[(0, 1)]], "x")
 
     @pytest.mark.parametrize("flags, message", [
-        (["--horizon", str(10**12)], "horizon must be in 1..100000"),
-        (["--worst-case", str(10**12)], "is above its cap"),
-        (["--n", str(10**12)], "is above its cap")],
+        (["--horizon", str(10**12)],
+         f"horizon must be in 1..100000, got {10**12}\n"),
+        (["--worst-case", str(10**12)],
+         f"n must be in 2..10000, got {10**12}\n"),
+        (["--n", str(10**12)], f"n must be in 2..10000, got {10**12}\n")],
         ids=["horizon", "worst-case", "n"])
     def test_size_above_cap_is_usage_error(self, tmp_path, capsys, flags,
                                            message):
         assert main(["run", *flags, "--out", str(tmp_path / "x")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}"
 
     def test_bad_generator_flags_are_usage_error(self, tmp_path):
         code = main(["run", "--n", "5", "--cycle-size", "9",
@@ -375,25 +383,35 @@ class TestSweepCmd:
 SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3", "--edges-per-round", "1",
          "--horizon", "10", "--num-seeds", "1", "--out", "x.csv"]
 CONFIG = ["sweep", "--config", "exp.cfg", "--out", "x.csv"]
+# The same file read as a schedule, for rows that test a header.
+HEADER = ["run", "exp.cfg", "--out", "x"]
+WORKERS_100000 = "workers must be in 1..256, got 100000"
 
 
 class TestUsageErrors:
-    """Bad flags and config files exit 2 before any cell runs or any file is
-    written; config file errors name the file and line. A bad value reads
-    the same from a flag and from a config line, but for the prefix."""
+    """Bad flags, config files, ``$KNOTID_WORKERS`` values and schedule
+    headers exit 2 before any cell runs or any file is written; file errors
+    name the file and line. Each bound gives one message on every path
+    (``adversary.bounded``): a flag, a config line, the variable and a
+    header differ only in the ``path:line: `` prefix. ``config`` is the text
+    of ``exp.cfg``, or a dict of environment variables."""
 
     @pytest.mark.parametrize("argv, config, message", [
-        ([*SWEEP, "--n", "1"], None, "n must be in 2..10000"),
-        ([*SWEEP, "--n", "20000"], None, "n must be in 2..10000"),
-        ([*SWEEP, "--num-seeds", "0"], None, "num_seeds must be at least 1"),
-        ([*SWEEP, "--base-seed", "-1"], None, "base_seed must be at least 0"),
+        ([*SWEEP, "--n", "1"], None, "n must be in 2..10000, got 1\n"),
+        ([*SWEEP, "--n", "20000"], None, "n must be in 2..10000, got 20000"),
+        ([*SWEEP, "--num-seeds", "0"], None,
+         "num_seeds must be at least 1, got 0\n"),
+        ([*SWEEP, "--base-seed", "-1"], None,
+         "base_seed must be at least 0, got -1\n"),
         ([*SWEEP, "--min-knot-size", "1"], None,
-         "min_knot_size must be at least 2"),
-        ([*SWEEP, "--workers", "0"], None, "workers must be at least 1"),
+         "min_knot_size must be at least 2, got 1\n"),
+        ([*SWEEP, "--workers", "0"], None, "workers must be in 1..256, got 0"),
         ([*SWEEP, "--edges-per-round", "13"], None,
-         "edges per round 13 outside 1..12"),
-        ([*SWEEP, "--cycle-sizes", "2:4:1:1"], None, "bad range '2:4:1:1'"),
-        ([*SWEEP, "--cycle-sizes", "2:x"], None, "bad range '2:x'"),
+         "edges_per_round must be in 1..12, got 13\n"),
+        ([*SWEEP, "--cycle-sizes", "2:4:1:1"], None,
+         "bad range for cycle_sizes: '2:4:1:1', want start:stop[:step]\n"),
+        ([*SWEEP, "--cycle-sizes", "2:x"], None,
+         "bad range for cycle_sizes: '2:x', want start:stop[:step]\n"),
         ([*SWEEP, "--num-seeds", "1000000000"], None,
          "sweep grid of 1000000000 cells exceeds the cap of 100000"),
         ([*SWEEP, "--n", "10000", "--cycle-sizes", "2:10000",
@@ -409,23 +427,89 @@ class TestUsageErrors:
         ([*SWEEP, "--out", "nodir/x.csv"], None,
          "[Errno 2] No such file or directory: 'nodir/x.csv'"),
         (CONFIG, "# grid\nbogus = 1\n", "exp.cfg:2: unknown config key 'bogus'"),
-        (CONFIG, "n = 12\ncycle_sizes = 1:\n", "exp.cfg:2: bad range '1:'"),
+        (CONFIG, "n = 12\ncycle_sizes = 1:\n", "exp.cfg:2: bad range for "
+         "cycle_sizes: '1:', want start:stop[:step]\n"),
         (["run", "--worst-case", "1", "--out", "x"], None,
-         "--worst-case needs at least 2 processes"),
-        (CONFIG, "n = 12\nbase_seed = -1\n", "base_seed must be at least 0"),
+         "n must be in 2..10000, got 1\n"),
+        (CONFIG, "n = 12\nbase_seed = -1\n",
+         "base_seed must be at least 0, got -1\n"),
         (["gen", "--seed", "-3", "--out", "x.txt"], None,
-         "--seed must be at least 0"),
+         "seed must be at least 0, got -3\n"),
         (["gen", "--horizon", "0", "--out", "x.txt"], None,
-         "horizon must be in 1..100000"),
+         "horizon must be in 1..100000, got 0\n"),
         (["run", "--horizon", "0", "--out", "x"], None,
-         "horizon must be in 1..100000"),
+         "horizon must be in 1..100000, got 0\n"),
+        # Process count.
+        (["gen", "--n", "1", "--out", "x.txt"], None,
+         "n must be in 2..10000, got 1\n"),
+        (["run", "--n", "1", "--out", "x"], None,
+         "n must be in 2..10000, got 1\n"),
+        (["gen", "--worst-case", "10001", "--out", "x.txt"], None,
+         "n must be in 2..10000, got 10001\n"),
+        (CONFIG, "n = 1\n", "n must be in 2..10000, got 1\n"),
+        (HEADER, "n=1 horizon=0 seed=0 params=x\n",
+         "exp.cfg:1: n must be in 2..10000, got 1\n"),
+        (HEADER, "n=10001 horizon=0 seed=0 params=x\n",
+         "exp.cfg:1: n must be in 2..10000, got 10001\n"),
+        # Horizon: flags and sweeps need a round, a file may hold none.
+        (["gen", "--horizon", "100001", "--out", "x.txt"], None,
+         "horizon must be in 1..100000, got 100001\n"),
+        ([*SWEEP, "--horizon", "0"], None,
+         "horizon must be in 1..100000, got 0\n"),
+        (CONFIG, "horizon = 100001\n",
+         "horizon must be in 1..100000, got 100001\n"),
+        (HEADER, "n=3 horizon=100001 seed=0 params=x\n",
+         "exp.cfg:1: horizon must be in 0..100000, got 100001\n"),
+        # Seed.
+        (["run", "--seed", "-1", "--out", "x"], None,
+         "seed must be at least 0, got -1\n"),
+        # Cycle size.
+        (["gen", "--cycle-size", "1", "--out", "x.txt"], None,
+         "cycle_size must be in 2..100, got 1\n"),
+        (["run", "--n", "12", "--cycle-size", "13", "--out", "x"], None,
+         "cycle_size must be in 2..12, got 13\n"),
+        ([*SWEEP, "--cycle-sizes", "3,13"], None,
+         "cycle_sizes must be in 2..12, got 13\n"),
+        (CONFIG, "n = 12\ncycle_sizes = 3,1\n",
+         "cycle_sizes must be in 2..12, got 1\n"),
+        # Edges per round.
+        (["gen", "--edges-per-round", "0", "--out", "x.txt"], None,
+         "edges_per_round must be in 1..100, got 0\n"),
+        (["run", "--n", "12", "--edges-per-round", "13", "--out", "x"], None,
+         "edges_per_round must be in 1..12, got 13\n"),
+        (CONFIG, "n = 12\nedges_per_round = 0\n",
+         "edges_per_round must be in 1..12, got 0\n"),
+        # Min knot size.
+        (["run", "--worst-case", "4", "--min-knot-size", "1", "--out", "x"],
+         None, "min_knot_size must be at least 2, got 1\n"),
+        (["verify", "exp.cfg", "--min-knot-size", "1"],
+         "n=3 horizon=0 seed=0 params=x\n",
+         "min_knot_size must be at least 2, got 1\n"),
+        (CONFIG, "min_knot_size = 1\n",
+         "min_knot_size must be at least 2, got 1\n"),
+        # Seeds per cell group.
+        (CONFIG, "num_seeds = 0\n", "num_seeds must be at least 1, got 0\n"),
+        # Workers: a count above the cap never reaches the pool.
+        ([*SWEEP, "--workers", "100000"], None, WORKERS_100000 + "\n"),
+        (CONFIG, "workers = 100000\n", WORKERS_100000 + "\n"),
+        (SWEEP, {"KNOTID_WORKERS": "100000"}, WORKERS_100000 + "\n"),
+        (SWEEP, {"KNOTID_WORKERS": "0"}, "workers must be in 1..256, got 0\n"),
     ], ids=["n", "n-cap", "num-seeds", "base-seed", "min-knot-size", "workers",
             "edges-per-round", "range-parts", "range-int", "cells-seeds",
             "cells-ranges",
             "config-unreadable", "config-no-equals", "config-int",
             "flag-int-x", "config-int-x", "config-repeated-key",
             "out-unwritable", "config-key", "config-range", "worst-case-1",
-            "config-base-seed", "gen-seed", "gen-horizon", "run-horizon"])
+            "config-base-seed", "gen-seed", "gen-horizon", "run-horizon",
+            "gen-n", "run-n", "worst-case-cap", "config-n", "header-n",
+            "header-n-cap", "gen-horizon-cap", "sweep-horizon",
+            "config-horizon", "header-horizon", "run-seed", "gen-cycle-size",
+            "run-cycle-size", "cycle-sizes", "config-cycle-sizes",
+            "gen-edges-per-round", "run-edges-per-round",
+            "config-edges-per-round", "run-min-knot-size",
+            "verify-min-knot-size", "config-min-knot-size",
+            "config-num-seeds", "workers-cap", "config-workers-cap",
+            "env-workers-cap", "env-workers-0"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                         argv, config, message):
         monkeypatch.chdir(tmp_path)
@@ -434,7 +518,10 @@ class TestUsageErrors:
             raise AssertionError("a rejected sweep reached its cells")
 
         monkeypatch.setattr("knotid.cli.run_sweep", no_sweep)
-        if config is not None:
+        if isinstance(config, dict):
+            for name, value in config.items():
+                monkeypatch.setenv(name, value)
+        elif config is not None:
             (tmp_path / "exp.cfg").write_text(config)
         tracemalloc.start()
         try:
@@ -446,7 +533,49 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert peak < 8 * 2**20  # the grid is refused, not built
         assert [p.name for p in tmp_path.iterdir()] \
-            == ([] if config is None else ["exp.cfg"])
+            == (["exp.cfg"] if isinstance(config, str) else [])
+
+
+ONE_BACKBONE = (12, 3, 0)  # n, cycle size, seed: a backbone of 12 links
+
+
+class TestBounds:
+    """A library call states each bound in the words a flag gets."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: knotid.gen_backbone(1, 2, 0), "n must be in 2..10000, got 1"),
+        (lambda: knotid.gen_backbone(12, 13, 0),
+         "cycle_size must be in 2..12, got 13"),
+        (lambda: knotid.worst_case_schedule(1),
+         "n must be in 2..10000, got 1"),
+        (lambda: Schedule(10001, []), "n must be in 0..10000, got 10001"),
+        (lambda: knotid.computation_rounds(
+            knotid.gen_backbone(*ONE_BACKBONE), 0, 0),
+         "edges_per_round must be in 1..12, got 0"),
+        (lambda: knotid.gen_computation(
+            knotid.gen_backbone(*ONE_BACKBONE), 2, -1, 0),
+         "horizon must be in 0..100000, got -1"),
+        (lambda: knotid.run(Schedule(3, []), min_knot_size=1),
+         "min_knot_size must be at least 2, got 1"),
+        (lambda: knotid.reference_run(Schedule(3, []), min_knot_size=1),
+         "min_knot_size must be at least 2, got 1"),
+        (lambda: knotid.find_knots(frozenset(), min_size=1),
+         "min_knot_size must be at least 2, got 1"),
+        (lambda: knotid.reachability_knots(frozenset(), min_size=0),
+         "min_knot_size must be at least 2, got 0"),
+        (lambda: ExperimentConfig(base_seed=-1).validate(),
+         "base_seed must be at least 0, got -1"),
+        (lambda: ExperimentConfig(workers=257).validate(),
+         "workers must be in 1..256, got 257"),
+    ], ids=["gen-backbone-n", "gen-backbone-cycle-size", "worst-case-n",
+            "schedule-n-cap", "computation-rounds-edges",
+            "gen-computation-horizon", "run-min-knot-size",
+            "reference-run-min-knot-size", "find-knots-min-size",
+            "reachability-knots-min-size", "config-base-seed",
+            "config-workers"])
+    def test_library_call_gives_the_one_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # Forms Python's ``int`` takes that the one number grammar refuses: a plus
@@ -494,7 +623,9 @@ class TestInputRules:
     def test_sweep_flags_refuse_other_forms(self, tmp_path, capsys,
                                             refuse_cells, flag, form):
         assert main([*SWEEP, flag, form]) == 2
-        assert capsys.readouterr().err.startswith("error: bad integer ")
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err \
+            == f"error: bad integer for {key}: {form!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     # Spaces around '=' belong to the line, not the value, so the leading
@@ -507,9 +638,19 @@ class TestInputRules:
         (tmp_path / "exp.cfg").write_text(f"n = 12\n{line}\n",
                                           encoding="utf-8")
         assert main(CONFIG) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: exp.cfg:2: bad integer ")
+        key, value = line.split(" = ")
+        form = value.split(",")[-1]
+        assert capsys.readouterr().err \
+            == f"error: exp.cfg:2: bad integer for {key}: {form!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    def test_config_strips_only_ascii_whitespace(self, tmp_path, capsys,
+                                                 refuse_cells):
+        value = "12\u2003"  # an em space, as a schedule header refuses it
+        (tmp_path / "exp.cfg").write_text(f"n = {value}\n", encoding="utf-8")
+        assert main(CONFIG) == 2
+        assert capsys.readouterr().err \
+            == f"error: exp.cfg:1: bad integer for n: {value!r}\n"
 
     @pytest.mark.parametrize("form", NOT_INTEGERS)
     def test_workers_env_refuses_other_forms(self, tmp_path, capsys,

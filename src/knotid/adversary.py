@@ -22,10 +22,11 @@ paper's grids (n=100, 6000 rounds) and the 256-process benchmark worst case.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 MAX_PROCESSES = 10_000
@@ -221,26 +222,60 @@ def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     return Backbone(n=n, cycle=cycle, tree_edges=tuple(tree), seed=rng_seed)
 
 
-def computation_rounds(backbone: Backbone, edges_per_state: int,
+def computation_rounds(backbone: Backbone, edges_per_round: int,
                        rng_seed: int) -> Iterator[frozenset]:
     """A backbone computation's unbounded stream of rounds, each one
-    ``edges_per_state`` distinct backbone links sampled independently and
-    uniformly; its bound names it ``edges_per_round``, as the sweep and the
-    flags do. Its n and links are checked once, as in ``Schedule``."""
-    pool = backbone.edges
+    ``edges_per_round`` distinct backbone links drawn independently and
+    uniformly. Its n and links are checked once, as in ``Schedule``.
+
+    Each round is the set ``Random(rng_seed).sample(links, m)`` would give,
+    drawn by the same ``getrandbits`` calls, so the stream depends on
+    ``getrandbits`` alone. As CPython 3.10-3.13's ``sample`` does, an index
+    below r takes ``r.bit_length()`` bits, redrawn until it is below r. Over
+    more links than sample's set size (21, plus ``4 ** ceil(log(3m, 4))``
+    when m > 5) an index already taken is redrawn too; otherwise a partial
+    Fisher-Yates shuffle of a fresh copy of the links picks them."""
+    links = backbone.edges
+    size, m = len(links), edges_per_round
     _check_n(backbone.n, where="backbone: ")
-    bounded("edges_per_round", edges_per_state, 1, len(pool))
-    _check_links(backbone.n, pool, "backbone: ")
-    sample = random.Random(rng_seed).sample
-    return (frozenset(sample(pool, edges_per_state)) for _ in repeat(None))
+    bounded("edges_per_round", m, 1, size)
+    _check_links(backbone.n, links, "backbone: ")
+    bits = random.Random(rng_seed).getrandbits
+    set_size = 21 + (4 ** math.ceil(math.log(m * 3, 4)) if m > 5 else 0)
+
+    def by_rejection() -> Iterator[frozenset]:
+        width = size.bit_length()
+        while True:
+            chosen = set()
+            while len(chosen) < m:
+                j = bits(width)
+                if j < size:
+                    chosen.add(j)
+            yield frozenset([links[j] for j in chosen])
+
+    def by_shuffle() -> Iterator[frozenset]:
+        steps = [(left, left.bit_length())
+                 for left in range(size, size - m, -1)]
+        while True:
+            rest = list(links)
+            picked = []
+            for left, width in steps:
+                j = bits(width)
+                while j >= left:
+                    j = bits(width)
+                picked.append(rest[j])
+                rest[j] = rest[left - 1]
+            yield frozenset(picked)
+
+    return by_rejection() if size > set_size else by_shuffle()
 
 
-def gen_computation(backbone: Backbone, edges_per_state: int, horizon: int,
+def gen_computation(backbone: Backbone, edges_per_round: int, horizon: int,
                     rng_seed: int) -> Schedule:
     """The first ``horizon`` rounds of ``computation_rounds``."""
-    rounds = computation_rounds(backbone, edges_per_state, rng_seed)
+    rounds = computation_rounds(backbone, edges_per_round, rng_seed)
     bounded("horizon", horizon, 0, MAX_HORIZON)
-    params = (f"backbone:k={len(backbone.cycle)},m={edges_per_state},"
+    params = (f"backbone:k={len(backbone.cycle)},m={edges_per_round},"
               f"bseed={backbone.seed}")
     return Schedule(n=backbone.n, states=tuple(islice(rounds, horizon)),
                     params=params, seed=rng_seed)

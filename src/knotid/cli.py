@@ -108,21 +108,25 @@ class ExperimentConfig:
     # CSV goes, never its rows.
     RUN_ONLY = ("workers", "out")
 
-    def validate(self) -> None:
-        bounded("n", self.n, 2, MAX_PROCESSES)
-        bounded("horizon", self.horizon, 1, MAX_HORIZON)
-        bounded("num_seeds", self.num_seeds, 1)
-        bounded("base_seed", self.base_seed, 0)  # Random(-s) replays cell s
+    def validate(self, lines: Optional[dict] = None) -> None:
+        """Check every bound. ``lines`` maps a key set by a config line to
+        that line's ``path:line: ``, which then starts the key's message."""
+        at = {f.name: (lines or {}).get(f.name, "") + f.name
+              for f in fields(self)}
+        bounded(at["n"], self.n, 2, MAX_PROCESSES)
+        bounded(at["horizon"], self.horizon, 1, MAX_HORIZON)
+        bounded(at["num_seeds"], self.num_seeds, 1)
+        bounded(at["base_seed"], self.base_seed, 0)  # Random(-s) replays s
         cells = len(self.cycle_sizes) * len(self.edges_per_round) * self.num_seeds
         if cells > MAX_SWEEP_CELLS:
             raise ValueError(f"sweep grid of {cells} cells exceeds the cap "
                              f"of {MAX_SWEEP_CELLS}")
-        bounded("min_knot_size", self.min_knot_size, 2)
-        bounded("workers", self.workers, 1, MAX_WORKERS)
+        bounded(at["min_knot_size"], self.min_knot_size, 2)
+        bounded(at["workers"], self.workers, 1, MAX_WORKERS)
         for k in self.cycle_sizes:
-            bounded("cycle_sizes", k, 2, self.n)
+            bounded(at["cycle_sizes"], k, 2, self.n)
         for m in self.edges_per_round:
-            bounded("edges_per_round", m, 1, self.n)
+            bounded(at["edges_per_round"], m, 1, self.n)
 
     def canonical(self) -> str:
         """``key=value`` for every field but the run-only ones, keys sorted
@@ -137,9 +141,11 @@ class ExperimentConfig:
         return " ".join(items)
 
 
-def read_config_file(path: str) -> dict:
-    """key=value lines, '#' starts a comment; a key may appear once."""
+def read_config_file(path: str) -> Tuple[dict, dict]:
+    """key=value lines, '#' starts a comment; a key may appear once. Returns
+    the values by key and each key's ``path:line: ``."""
     raw: dict = {}
+    lines: dict = {}
     try:
         for lineno, line in numbered_lines(path):
             line = line.split("#", 1)[0].strip(SPACE)
@@ -147,6 +153,7 @@ def read_config_file(path: str) -> dict:
                 continue
             key, sep, value = (part.strip(SPACE)
                                for part in line.partition("="))
+            where = f"{path}:{lineno}: "
             try:
                 if not sep:
                     raise ValueError("expected key=value")
@@ -154,11 +161,12 @@ def read_config_file(path: str) -> dict:
                 if key in raw:
                     raise ValueError(f"repeated key {key!r}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(where + str(exc)) from exc
             raw[key] = value
+            lines[key] = where
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return raw
+    return raw, lines
 
 
 def _config_value(key: str, value):
@@ -174,13 +182,17 @@ def _config_value(key: str, value):
     return value
 
 
-def config_from_sources(file_values: dict, flag_values: dict) -> ExperimentConfig:
-    """Build a config from a file, then let explicit flags override it."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
+def config_from_sources(file_values: dict, flag_values: dict,
+                        file_lines: Optional[dict] = None) -> ExperimentConfig:
+    """Build a config from a file, then let explicit flags override it.
+    ``file_lines`` maps a file key to its ``path:line: ``, so a bound broken
+    by a value the file set names that line."""
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    merged = {**file_values, **flags}
     cfg = ExperimentConfig(**{key: _config_value(key, value)
                               for key, value in merged.items()})
-    cfg.validate()
+    cfg.validate({key: where for key, where in (file_lines or {}).items()
+                  if key not in flags})
     return cfg
 
 
@@ -387,12 +399,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values, file_lines = (read_config_file(args.config) if args.config
+                               else ({}, {}))
     flag_values = {f.name: getattr(args, f.name)
                    for f in fields(ExperimentConfig)}
     if flag_values["workers"] is None:
         flag_values["workers"] = os.environ.get(WORKERS_ENV)
-    cfg = config_from_sources(file_values, flag_values)
+    cfg = config_from_sources(file_values, flag_values, file_lines)
     open(cfg.out, "a", encoding="utf-8").close()  # fails before any cell
     cells, means = run_sweep(cfg)
     write_sweep_csv(cfg, cells, means, cfg.out)

@@ -7,18 +7,14 @@ themselves), then checks its graph for knots. All sends of a round are
 derived from end-of-previous-round state, so receive order within a round
 cannot matter and the whole run is deterministic.
 
-The hot loop keeps what each process knows as two bit masks in Python ints.
+The hot loop keeps what each process knows as one bit mask in a Python int.
 Knot detection ignores stamps, and projecting a union of temporal edges onto
 static arcs gives the union of their projections, so all detection needs is
 ``known_arcs[p]``, a mask over dense arc ids. Ids go to ``(src, dst)`` pairs
 in first-seen order, so the mask is as wide as the schedule's distinct arcs,
-not n².
-``known_edges[p]`` is a mask over temporal-edge ids in the order the loop
-visits each round's ``(src, dst)`` links; it feeds only the payload metric.
-A receipt is ``known[dst] |= pre[src] | bit(link)`` where ``pre`` is the
-list of masks copied before the round's merges: ints are immutable, so that
-copy is the whole snapshot, and a message's payload is the popcount of its
-sender's ``pre`` edge mask.
+not n². A receipt is ``known_arcs[dst] |= pre_arcs[src] | bit(link)`` where
+``pre_arcs`` is the list of masks copied before the round's merges: ints are
+immutable, so that copy is the whole snapshot.
 
 Knot detection runs only when a receiver's arc mask grew, and searches
 its whole graph: every node of a process's graph reaches it, so one
@@ -35,9 +31,18 @@ mask and the core: a sink that hears one sender knowing the rest of its
 graph finds its core stored as that sender's mask.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
-will do. ``stop_when_decided=True`` ends it after the round in which the last
+will do, and the ``Trace`` keeps each round it executed as a tuple of
+links. ``stop_when_decided=True`` ends it after the round in which the last
 process decides: outputs are final, so it skips only the later rounds'
 metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
+
+Round metrics come from a separate pass, ``round_metrics``, run over the
+kept rounds only when ``Trace.round_metrics`` is first read, so a sweep,
+which reads only outputs, never pays for it. ``known[p]`` there is a mask
+over temporal-edge ids in the order the pass visits each round's links, and
+a message's payload is the popcount of its sender's pre-round mask. The
+masks widen with every round, so a receipt there costs time that grows with
+the horizon.
 
 ``reference_run`` is the same run by the plain per-process state machine:
 each round it hands every receiver its ``(pre-round lg, TemporalEdge)``
@@ -52,8 +57,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .adversary import bounded
 from .graph import Knot, TemporalEdge, knots_from_adjacency
@@ -66,20 +73,68 @@ class RoundMetric(NamedTuple):
     payload_edges: int
 
 
+def round_metrics(n: int, rounds: Iterable) -> List[RoundMetric]:
+    """One ``RoundMetric`` per round of ``(src, dst)`` links: its message
+    count, and the temporal edges its senders knew before it."""
+    known = [0] * n  # process -> mask over temporal-edge ids
+    edge_total = 0   # next temporal-edge id
+    metrics: List[RoundMetric] = []
+    for round_index, state in enumerate(rounds, start=1):
+        pre = known[:]
+        payload_edges = 0
+        for src, dst in state:
+            known[dst] |= pre[src] | 1 << edge_total
+            edge_total += 1
+            payload_edges += pre[src].bit_count()
+        metrics.append(RoundMetric(round_index, len(state), payload_edges))
+    return metrics
+
+
+class LazyRoundMetrics(Sequence):
+    """``round_metrics`` of the rounds a run executed, computed on first
+    read and then kept. It equals any sequence of the same metrics."""
+
+    def __init__(self, n: int, rounds: List[tuple]) -> None:
+        self.n = n
+        self.rounds = rounds
+
+    @cached_property
+    def _metrics(self) -> List[RoundMetric]:
+        return round_metrics(self.n, self.rounds)
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def __getitem__(self, index):
+        return self._metrics[index]
+
+    def __iter__(self):
+        return iter(self._metrics)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._metrics == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self._metrics)
+
+
 @dataclass
 class Trace:
     """Everything observable about one run.
 
     Outputs and observation logs are keyed by process id; ``outputs[p]`` is
     (knot, round) or None when p never decided. ``horizon`` counts the rounds
-    executed, one ``round_metrics`` entry each.
+    executed, one ``round_metrics`` entry each; ``run`` fills that field
+    with a ``LazyRoundMetrics``, which computes them when first read.
     """
 
     n: int
     horizon: int
     outputs: dict
     observation_logs: dict
-    round_metrics: list
+    round_metrics: Sequence
 
 
 @dataclass
@@ -134,19 +189,17 @@ def run(schedule, min_knot_size: int = 2,
     in_arcs: Dict[int, list] = {}    # node -> [(1 << arc id, src)] into it
     into = [0] * n                   # node -> mask of the arcs into it
     out_of = [0] * n                 # node -> mask of the arcs out of it
-    edge_total = 0                   # next temporal-edge id
     known_arcs = [0] * n
-    known_edges = [0] * n
     knots_of: Dict[int, list] = {}   # arc mask -> knots of that arc set
     logs: List[dict] = [{} for _ in range(n)]  # knot -> first round, in order
     outputs: list = [None] * n
-    metrics: List[RoundMetric] = []
+    rounds: List[tuple] = []         # the links of each round executed
     undecided = n
 
     for round_index, state in enumerate(schedule.states, start=1):
+        state = tuple(state)
+        rounds.append(state)
         pre_arcs = known_arcs[:]
-        pre_edges = known_edges[:]
-        payload_edges = 0
         for link in state:
             src, dst = link
             bit = arc_bits.get(link)
@@ -156,9 +209,6 @@ def run(schedule, min_knot_size: int = 2,
                 into[dst] |= bit
                 out_of[src] |= bit
             known_arcs[dst] |= pre_arcs[src] | bit
-            known_edges[dst] |= pre_edges[src] | 1 << edge_total
-            edge_total += 1
-            payload_edges += pre_edges[src].bit_count()
 
         for dst in {dst for _, dst in state}:
             arcs = known_arcs[dst]
@@ -185,17 +235,16 @@ def run(schedule, min_knot_size: int = 2,
                     outputs[dst] = (primary_tie_break(fresh), round_index)
                     undecided -= 1
 
-        metrics.append(RoundMetric(round_index, len(state), payload_edges))
         if stop_when_decided and n and not undecided:
             break
 
     return Trace(
         n=n,
-        horizon=len(metrics),
+        horizon=len(rounds),
         outputs=dict(enumerate(outputs)),
         observation_logs={pid: tuple(log.items())
                           for pid, log in enumerate(logs)},
-        round_metrics=metrics,
+        round_metrics=LazyRoundMetrics(n, rounds),
     )
 
 

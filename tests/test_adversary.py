@@ -163,6 +163,18 @@ class TestGenComputation:
         assert tuple(islice(computation_rounds(b, m, seed), horizon)) \
             == gen_computation(b, m, horizon, seed).states
 
+    @pytest.mark.parametrize("size", [20, 21, 22, 23, 84, 85, 86, 87])
+    def test_rounds_are_the_sets_sample_draws(self, size):
+        # sample's set size is 21 for m <= 5 and 85 for m = 6: it shuffles
+        # at or below it and redraws taken indices above it
+        b = Backbone(n=size, cycle=tuple(range(size)), tree_edges=())
+        for m in (1, 2, 5, 6, size):
+            for seed in (0, 7, 2**63 + 11):
+                sample = random.Random(seed).sample
+                want = [frozenset(sample(b.edges, m)) for _ in range(200)]
+                assert list(islice(computation_rounds(b, m, seed), 200)) \
+                    == want, (m, seed)
+
     @pytest.mark.parametrize(
         "n, links, problem",
         [(6, ((2, 2),), "self-loop"), (6, ((0, 6),), "names a process"),

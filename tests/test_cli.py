@@ -393,7 +393,9 @@ class TestUsageErrors:
     headers exit 2 before any cell runs or any file is written; file errors
     name the file and line. Each bound gives one message on every path
     (``adversary.bounded``): a flag, a config line, the variable and a
-    header differ only in the ``path:line: `` prefix. ``config`` is the text
+    header differ only in the ``path:line: `` prefix. A value from a config
+    line names that line, also where a flag sets the bound it breaks, and a
+    flag that overrides the line does not. ``config`` is the text
     of ``exp.cfg``, or a dict of environment variables."""
 
     @pytest.mark.parametrize("argv, config, message", [
@@ -432,7 +434,7 @@ class TestUsageErrors:
         (["run", "--worst-case", "1", "--out", "x"], None,
          "n must be in 2..10000, got 1\n"),
         (CONFIG, "n = 12\nbase_seed = -1\n",
-         "base_seed must be at least 0, got -1\n"),
+         "exp.cfg:2: base_seed must be at least 0, got -1\n"),
         (["gen", "--seed", "-3", "--out", "x.txt"], None,
          "seed must be at least 0, got -3\n"),
         (["gen", "--horizon", "0", "--out", "x.txt"], None,
@@ -446,7 +448,8 @@ class TestUsageErrors:
          "n must be in 2..10000, got 1\n"),
         (["gen", "--worst-case", "10001", "--out", "x.txt"], None,
          "n must be in 2..10000, got 10001\n"),
-        (CONFIG, "n = 1\n", "n must be in 2..10000, got 1\n"),
+        (CONFIG, "n = 1\n", "exp.cfg:1: n must be in 2..10000, got 1\n"),
+        ([*CONFIG, "--n", "1"], "n = 12\n", "n must be in 2..10000, got 1\n"),
         (HEADER, "n=1 horizon=0 seed=0 params=x\n",
          "exp.cfg:1: n must be in 2..10000, got 1\n"),
         (HEADER, "n=10001 horizon=0 seed=0 params=x\n",
@@ -457,7 +460,7 @@ class TestUsageErrors:
         ([*SWEEP, "--horizon", "0"], None,
          "horizon must be in 1..100000, got 0\n"),
         (CONFIG, "horizon = 100001\n",
-         "horizon must be in 1..100000, got 100001\n"),
+         "exp.cfg:1: horizon must be in 1..100000, got 100001\n"),
         (HEADER, "n=3 horizon=100001 seed=0 params=x\n",
          "exp.cfg:1: horizon must be in 0..100000, got 100001\n"),
         # Seed.
@@ -471,14 +474,16 @@ class TestUsageErrors:
         ([*SWEEP, "--cycle-sizes", "3,13"], None,
          "cycle_sizes must be in 2..12, got 13\n"),
         (CONFIG, "n = 12\ncycle_sizes = 3,1\n",
-         "cycle_sizes must be in 2..12, got 1\n"),
+         "exp.cfg:2: cycle_sizes must be in 2..12, got 1\n"),
+        ([*CONFIG, "--n", "12"], "cycle_sizes = 13\n",
+         "exp.cfg:1: cycle_sizes must be in 2..12, got 13\n"),
         # Edges per round.
         (["gen", "--edges-per-round", "0", "--out", "x.txt"], None,
          "edges_per_round must be in 1..100, got 0\n"),
         (["run", "--n", "12", "--edges-per-round", "13", "--out", "x"], None,
          "edges_per_round must be in 1..12, got 13\n"),
         (CONFIG, "n = 12\nedges_per_round = 0\n",
-         "edges_per_round must be in 1..12, got 0\n"),
+         "exp.cfg:2: edges_per_round must be in 1..12, got 0\n"),
         # Min knot size.
         (["run", "--worst-case", "4", "--min-knot-size", "1", "--out", "x"],
          None, "min_knot_size must be at least 2, got 1\n"),
@@ -486,12 +491,13 @@ class TestUsageErrors:
          "n=3 horizon=0 seed=0 params=x\n",
          "min_knot_size must be at least 2, got 1\n"),
         (CONFIG, "min_knot_size = 1\n",
-         "min_knot_size must be at least 2, got 1\n"),
+         "exp.cfg:1: min_knot_size must be at least 2, got 1\n"),
         # Seeds per cell group.
-        (CONFIG, "num_seeds = 0\n", "num_seeds must be at least 1, got 0\n"),
+        (CONFIG, "num_seeds = 0\n",
+         "exp.cfg:1: num_seeds must be at least 1, got 0\n"),
         # Workers: a count above the cap never reaches the pool.
         ([*SWEEP, "--workers", "100000"], None, WORKERS_100000 + "\n"),
-        (CONFIG, "workers = 100000\n", WORKERS_100000 + "\n"),
+        (CONFIG, "workers = 100000\n", f"exp.cfg:1: {WORKERS_100000}\n"),
         (SWEEP, {"KNOTID_WORKERS": "100000"}, WORKERS_100000 + "\n"),
         (SWEEP, {"KNOTID_WORKERS": "0"}, "workers must be in 1..256, got 0\n"),
     ], ids=["n", "n-cap", "num-seeds", "base-seed", "min-knot-size", "workers",
@@ -501,10 +507,12 @@ class TestUsageErrors:
             "flag-int-x", "config-int-x", "config-repeated-key",
             "out-unwritable", "config-key", "config-range", "worst-case-1",
             "config-base-seed", "gen-seed", "gen-horizon", "run-horizon",
-            "gen-n", "run-n", "worst-case-cap", "config-n", "header-n",
+            "gen-n", "run-n", "worst-case-cap", "config-n",
+            "flag-over-config-n", "header-n",
             "header-n-cap", "gen-horizon-cap", "sweep-horizon",
             "config-horizon", "header-horizon", "run-seed", "gen-cycle-size",
             "run-cycle-size", "cycle-sizes", "config-cycle-sizes",
+            "config-cycle-sizes-flag-n",
             "gen-edges-per-round", "run-edges-per-round",
             "config-edges-per-round", "run-min-knot-size",
             "verify-min-knot-size", "config-min-knot-size",

@@ -2,7 +2,7 @@ import inspect
 import json
 import random
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +14,7 @@ from knotid import (
     Knot,
     Schedule,
     computation_graph,
+    computation_rounds,
     gen_backbone,
     gen_computation,
     insert_noncomm_states,
@@ -343,6 +344,17 @@ class TestScheduleProperties:
         trace = run(SimpleNamespace(n=4, states=rounds),
                     stop_when_decided=True)
         assert trace.horizon == 7 == longest_output_time(trace)
+
+    def test_stopped_one_pass_run_keeps_the_metrics_of_its_rounds(self):
+        # the rounds come from a generator that is gone once read, and the
+        # metrics are computed after the run from the rounds it kept
+        b = gen_backbone(100, 10, 5)
+        stopped = run(SimpleNamespace(
+            n=100, states=islice(computation_rounds(b, 5, 5), 6000)),
+            stop_when_decided=True)
+        assert 0 < stopped.horizon < 6000
+        prefix = gen_computation(b, 5, stopped.horizon, 5)
+        assert stopped.round_metrics == reference_run(prefix).round_metrics
 
     @settings(max_examples=100, deadline=None)
     @given(small_schedules(), st.data())

@@ -5,6 +5,7 @@ below, run as ``knotid <args>`` with ``{out}`` replaced by an output
 directory. Regenerate a file only when its format changes on purpose.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,17 @@ CASES = {
 }
 
 
+# sha256 of the default ``knotid run`` files (n=100, cycle size 10, 5 edges
+# per round, 6000 rounds, seed 0): the round metrics at the experiments'
+# size, too large to check in.
+DEFAULT_RUN = {
+    "run_rounds.csv":
+        "acdd51fa94c410bbc9f754f2b1108d78a8be79099f2bc7af1e6a1df296d589f8",
+    "run_trace.csv":
+        "eb9247265bd9aa4997052bf7c3ffcd8729de3b5efc4cda52c197ded1299f4529",
+}
+
+
 def _assert_golden(tmp_path, name, argv, code):
     save_schedule(disjoint_two_cycles_schedule(), str(tmp_path / "disjoint.txt"))
     assert main([arg.format(out=tmp_path) for arg in argv]) == code
@@ -79,3 +91,9 @@ def test_config_file_sweep_matches_golden_bytes(tmp_path):
 def test_worker_pool_sweep_matches_golden_bytes(tmp_path):
     """Cells run in worker processes draw the same rounds."""
     _assert_golden(tmp_path, "sweep_h40.csv", SWEEP_H40 + ["--workers", "2"], 1)
+
+
+def test_default_run_matches_pinned_hashes(tmp_path):
+    assert main(["run", "--out", str(tmp_path / "run")]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DEFAULT_RUN} == DEFAULT_RUN

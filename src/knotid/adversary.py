@@ -15,9 +15,12 @@ protocol's causally-chained complexity bound.
 ``MAX_PROCESSES`` and ``MAX_HORIZON`` cap what a header or a generator
 argument may ask for, and are checked before anything is allocated: the
 loader makes one set per round (216 bytes empty, so 100,000 rounds take
-about 20 MiB), and the engine's arc masks can reach n bits per process
-(n**2 / 8 bytes, 12.5 MB at 10,000 processes). Both caps sit far above the
-paper's grids (n=100, 6000 rounds) and the 256-process benchmark worst case.
+about 20 MiB), the engine's arc masks can reach n bits per process
+(n**2 / 8 bytes, 12.5 MB at 10,000 processes), and the payload pass's
+counts n(w + 1) bits per process, w the bit length of the schedule's link
+total (about 200 MB for the 2n-1 round worst case at 10,000 processes).
+Both caps sit far above the paper's grids (n=100, 6000 rounds) and the
+256-process benchmark worst case.
 """
 
 from __future__ import annotations
@@ -115,8 +118,9 @@ INT = "-?[0-9]+"
 SPACE = " \t\n\r\f\v"
 _HEADER = re.compile(
     rf"n=([0-9]+) horizon=([0-9]+) seed=({INT}) params=(\S*)")
-# A blank line, or three ASCII decimal fields split by ASCII whitespace.
-_EDGE_LINE = re.compile(r"\s*(?:([0-9]+)\s+([0-9]+)\s+([0-9]+)\s*)?",
+# A blank line, or three ASCII decimal fields split by ASCII whitespace:
+# the "src dst" text, then the stamp.
+_EDGE_LINE = re.compile(r"\s*(?:([0-9]+\s+[0-9]+)\s+([0-9]+)\s*)?",
                         re.ASCII)
 
 
@@ -161,25 +165,31 @@ def load_schedule(path: str) -> Schedule:
     _check_n(n, 2, f"{path}:1: ")
     bounded(f"{path}:1: horizon", horizon, 0, MAX_HORIZON)
     buckets: list = [set() for _ in range(horizon)]
+    links: dict = {}  # "src dst" text -> its link; a bad one ends the load
     for lineno, raw in lines:
         fields = _EDGE_LINE.fullmatch(raw)
         if fields is None:
             raise ValueError(f"{path}:{lineno}: malformed edge line "
                              f"{raw.strip()!r}: want three ASCII decimal "
                              "fields")
-        if fields.group(1) is None:
+        pair, stamp = fields.groups()
+        if pair is None:
             continue
-        src, dst, stamp = map(int, fields.groups())
+        stamp = int(stamp)
+        link = links.get(pair)
+        if link is None:
+            link = links[pair] = tuple(map(int, pair.split()))
+        src, dst = link
         if src == dst:
             problem = "is a self-loop"
         elif not 1 <= stamp <= horizon:
             problem = f"stamped outside 1..{horizon}"
         elif src >= n or dst >= n:
             problem = f"names a process outside 0..{n - 1}"
-        elif (src, dst) in buckets[stamp - 1]:
+        elif link in buckets[stamp - 1]:
             problem = "repeats an earlier line"
         else:
-            buckets[stamp - 1].add((src, dst))
+            buckets[stamp - 1].add(link)
             continue
         raise ValueError(f"{path}:{lineno}: edge {src} {dst} {stamp} {problem}")
     return Schedule(n=n, states=buckets, params=match.group(4), seed=seed)

@@ -38,11 +38,20 @@ metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
 
 Round metrics come from a separate pass, ``round_metrics``, run over the
 kept rounds only when ``Trace.round_metrics`` is first read, so a sweep,
-which reads only outputs, never pays for it. ``known[p]`` there is a mask
-over temporal-edge ids in the order the pass visits each round's links, and
-a message's payload is the popcount of its sender's pre-round mask. The
-masks widen with every round, so a receipt there costs time that grows with
-the horizon.
+which reads only outputs, never pays for it. A message's payload is the
+number of temporal edges its sender knew before the round. An edge
+``(u, v, t)`` first reaches v itself, in round t, with every other edge
+into v stamped up to t, and reaches anyone else only through a snapshot of
+v, so what a process knows of v's in-edges is a stamp prefix, and one count
+per node says it exactly, as a vector clock does. ``known[p]`` packs p's n
+counts into one int of n fields of ``w + 1`` bits, where ``2**w`` exceeds
+the schedule's link total and so every count. A receipt is a fieldwise max,
+done with the fields' top (guard) bits, then one more in-edge at the
+receiver; a payload is the sum of the sender's fields, which is the int
+modulo ``2**(w + 1) - 1`` because that sum stays below ``2**w``. A receipt
+costs n(w + 1) bits of arithmetic, whatever the round: less than a mask
+over the temporal edges so far once a run has passed about n(w + 1) links,
+and more in a sparse run such as the 2n-1 round worst case.
 
 ``reference_run`` is the same run by the plain per-process state machine:
 each round it hands every receiver its ``(pre-round lg, TemporalEdge)``
@@ -73,19 +82,24 @@ class RoundMetric(NamedTuple):
     payload_edges: int
 
 
-def round_metrics(n: int, rounds: Iterable) -> List[RoundMetric]:
+def round_metrics(n: int, rounds: Sequence) -> List[RoundMetric]:
     """One ``RoundMetric`` per round of ``(src, dst)`` links: its message
     count, and the temporal edges its senders knew before it."""
-    known = [0] * n  # process -> mask over temporal-edge ids
-    edge_total = 0   # next temporal-edge id
+    w = sum(map(len, rounds)).bit_length()  # every count is below 2**w
+    f = w + 1                               # field width, with a guard bit
+    guards = ((1 << n * f) - 1) // ((1 << f) - 1) << w
+    fold = (1 << f) - 1  # x % fold sums the fields of x
+    known = [0] * n      # process -> field v counts v's known in-edges
     metrics: List[RoundMetric] = []
     for round_index, state in enumerate(rounds, start=1):
         pre = known[:]
         payload_edges = 0
         for src, dst in state:
-            known[dst] |= pre[src] | 1 << edge_total
-            edge_total += 1
-            payload_edges += pre[src].bit_count()
+            a, b = known[dst], pre[src]
+            g = ((a | guards) - b) & guards  # guard bit set where a >= b
+            keep = g - (g >> w)
+            known[dst] = (b ^ ((a ^ b) & keep)) + (1 << dst * f)
+            payload_edges += b % fold
         metrics.append(RoundMetric(round_index, len(state), payload_edges))
     return metrics
 
@@ -344,11 +358,14 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_trace_csv(t: Trace, path: str) -> None:
-    """Per-process outputs: ``process,output_round,knot_members``."""
-    entries = ((pid, t.outputs.get(pid)) for pid in range(t.n))
+    """Per-process outputs: ``process,output_round,knot_members``. Each
+    distinct knot is formatted once, however many processes output it."""
+    entries = [(pid, t.outputs.get(pid)) for pid in range(t.n)]
+    members = {knot: fmt_knot(knot) for knot in
+               {entry[0] for _, entry in entries if entry is not None}}
     write_csv(path, ("process", "output_round", "knot_members"),
               ((pid, None, None) if entry is None
-               else (pid, entry[1], fmt_knot(entry[0]))
+               else (pid, entry[1], members[entry[0]])
                for pid, entry in entries))
 
 

@@ -21,6 +21,10 @@ from knotid.cli import (
 )
 from util import disjoint_two_cycles_schedule
 
+# The tails of the schedule loader's header and edge-line messages.
+HEADER_FORM = "is not 'n=<int> horizon=<int> seed=<int> params=<text>'"
+EDGE_FORM = "want three ASCII decimal fields"
+
 
 class TestParsing:
     def test_comma_list(self):
@@ -163,36 +167,72 @@ class TestGenRun:
         rng.getrandbits(64)
         assert s.seed == rng.getrandbits(64)
 
-    @pytest.mark.parametrize("text, line", [
-        ("n=3 horizon=two seed=0 params=x\n", 1),
-        ("n=3 horizon=1 seed=0 params=x colour=red\n", 1),
-        ("n=3 horizon=-1 seed=0 params=x\n", 1),
-        ("n=0 horizon=0 seed=0 params=x\n", 1),
-        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 x 2\n", 3),
-        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n\n2 2 2\n", 4),
-        ("n=3 horizon=2 seed=0 params=x\n0 3 1\n", 2),
-        ("n=3 horizon=2 seed=0 params=x\n0 1 3\n", 2),
-        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n1 2 2\n0 1 1\n", 4),
-        ("n=11 horizon=1 seed=0 params=x\n0 1_0 1\n", 2),
-        ("n=3 horizon=1 seed=0 params=x\n+1 2 1\n", 2),
-        ("n=3 horizon=1 seed=0 params=x\n\u0660 1 1\n", 2),
-        ("n=3 horizon=1 seed=0 params=x\n0\u20031 1\n", 2),
-        ("n=3 horizon=1 seed=0 params=x\u2003\n0 1 1\n", 1),
-        ("\u2003n=3 horizon=1 seed=0 params=x\n0 1 1\n", 1),
-        ("n=1000000000000 horizon=1 seed=0 params=x\n", 1),
-        ("n=3 horizon=1000000000000 seed=0 params=x\n", 1),
+    @pytest.mark.parametrize("text, line, problem", [
+        ("n=3 horizon=two seed=0 params=x\n", 1,
+         f"header 'n=3 horizon=two seed=0 params=x' {HEADER_FORM}"),
+        ("n=3 horizon=1 seed=0 params=x colour=red\n", 1,
+         f"header 'n=3 horizon=1 seed=0 params=x colour=red' {HEADER_FORM}"),
+        ("n=3 horizon=-1 seed=0 params=x\n", 1,
+         f"header 'n=3 horizon=-1 seed=0 params=x' {HEADER_FORM}"),
+        ("n=0 horizon=0 seed=0 params=x\n", 1, "n must be in 2..10000, got 0"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 x 2\n", 3,
+         f"malformed edge line '0 x 2': {EDGE_FORM}"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n\n2 2 2\n", 4,
+         "edge 2 2 2 is a self-loop"),
+        ("n=3 horizon=2 seed=0 params=x\n0 3 1\n", 2,
+         "edge 0 3 1 names a process outside 0..2"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 3\n", 2,
+         "edge 0 1 3 stamped outside 1..2"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n1 2 2\n0 1 1\n", 4,
+         "edge 0 1 1 repeats an earlier line"),
+        ("n=11 horizon=1 seed=0 params=x\n0 1_0 1\n", 2,
+         f"malformed edge line '0 1_0 1': {EDGE_FORM}"),
+        ("n=3 horizon=1 seed=0 params=x\n+1 2 1\n", 2,
+         f"malformed edge line '+1 2 1': {EDGE_FORM}"),
+        ("n=3 horizon=1 seed=0 params=x\n\u0660 1 1\n", 2,
+         f"malformed edge line '\u0660 1 1': {EDGE_FORM}"),
+        ("n=3 horizon=1 seed=0 params=x\n0\u20031 1\n", 2,
+         f"malformed edge line '0\\u20031 1': {EDGE_FORM}"),
+        ("n=3 horizon=1 seed=0 params=x\u2003\n0 1 1\n", 1,
+         f"header 'n=3 horizon=1 seed=0 params=x\\u2003' {HEADER_FORM}"),
+        ("\u2003n=3 horizon=1 seed=0 params=x\n0 1 1\n", 1,
+         f"header '\\u2003n=3 horizon=1 seed=0 params=x' {HEADER_FORM}"),
+        ("n=1000000000000 horizon=1 seed=0 params=x\n", 1,
+         "n must be in 2..10000, got 1000000000000"),
+        ("n=3 horizon=1000000000000 seed=0 params=x\n", 1,
+         "horizon must be in 0..100000, got 1000000000000"),
+        # the same link text seen again, or the same link spaced otherwise
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0  1 1\n", 3,
+         "edge 0 1 1 repeats an earlier line"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0\t1 1\n", 3,
+         "edge 0 1 1 repeats an earlier line"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 1 0\n", 3,
+         "edge 0 1 0 stamped outside 1..2"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 1 3\n", 3,
+         "edge 0 1 3 stamped outside 1..2"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n0 3 2\n0 3 2\n", 3,
+         "edge 0 3 2 names a process outside 0..2"),
+        # a self-loop is named before its stamp, and its stamp before the
+        # processes it names
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n2 2 9\n", 3,
+         "edge 2 2 9 is a self-loop"),
+        ("n=3 horizon=2 seed=0 params=x\n0 1 1\n5 1 9\n", 3,
+         "edge 5 1 9 stamped outside 1..2"),
     ], ids=["non-integer-horizon", "unknown-key", "negative-horizon",
             "too-few-processes", "non-integer-field", "self-loop",
             "foreign-process", "stamp-past-horizon", "duplicate-edge",
             "underscore-field", "signed-field", "arabic-indic-digit",
             "em-space-separator", "em-space-header-end",
-            "em-space-header-start", "process-cap", "horizon-cap"])
+            "em-space-header-start", "process-cap", "horizon-cap",
+            "double-space-repeat", "tab-repeat", "seen-link-stamp-0",
+            "seen-link-stamp-past-horizon", "repeated-foreign-link",
+            "self-loop-before-stamp", "stamp-before-foreign-process"])
     def test_bad_schedule_file_is_usage_error(self, tmp_path, capsys,
-                                              text, line):
+                                              text, line, problem):
         path = tmp_path / "bad.txt"
         path.write_text(text, encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
-        assert f"{path}:{line}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}:{line}: {problem}\n"
 
     @pytest.mark.parametrize("header", [
         "n=3 horizon=1 seed=0 params=x \t\n",

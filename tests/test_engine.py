@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
@@ -24,7 +25,9 @@ from knotid import (
     verify,
     worst_case_schedule,
 )
+from knotid.adversary import MAX_PROCESSES
 from knotid.engine import (
+    round_metrics,
     write_diagnostics_jsonl,
     write_round_metrics_csv,
     write_trace_csv,
@@ -375,6 +378,43 @@ class TestScheduleProperties:
                 (k, shifted(r)) for k, r in base.observation_logs[pid])
 
 
+def reference_metrics(n: int, rounds) -> list:
+    return reference_run(Schedule(n, rounds)).round_metrics
+
+
+class TestRoundMetrics:
+    """``round_metrics``, one count per node packed into an int, against
+    ``reference_run``'s sets of temporal edges."""
+
+    @pytest.mark.parametrize("rounds", [
+        [[(0, 3), (1, 3), (2, 3)], [(3, 0), (3, 1)], [(0, 2), (1, 2), (3, 2)],
+         [(2, 0), (2, 1), (2, 3)], [(1, 0), (2, 0), (3, 0)]],
+        [[], [(0, 1), (2, 1)], [], [], [(1, 2), (1, 0)], [], [(0, 1)]],
+    ], ids=["fan-in", "empty-rounds"])
+    def test_matches_the_reference(self, rounds):
+        assert round_metrics(4, rounds) == reference_metrics(4, rounds)
+
+    @pytest.mark.parametrize("links", [7, 8, 9, 1023, 1024, 1025])
+    def test_counts_fill_their_fields(self, links):
+        # node 0 hears of all but the last link, then tells node 1: with
+        # 2**k - 1 links its count, 2**k - 2, needs every value bit of a field
+        rounds = [[(1, 0)]] * (links - 1) + [[(0, 1)]]
+        metrics = round_metrics(2, rounds)
+        assert metrics == reference_metrics(2, rounds)
+        assert metrics[-1].payload_edges == links - 1
+
+    def test_at_the_process_cap_a_pass_stays_small(self):
+        tracemalloc.start()
+        try:
+            metrics = round_metrics(MAX_PROCESSES, [[(MAX_PROCESSES - 1, 0)],
+                                                    [(0, 1)]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [m.payload_edges for m in metrics] == [0, 1]
+        assert peak < 2**20  # no per-node table of field units
+
+
 class TestVerify:
     def test_uniform_run_passes(self):
         t = run(worst_case_schedule(5))
@@ -428,6 +468,12 @@ class TestTraceFiles:
         assert lines[0] == "process,output_round,knot_members"
         assert lines[4] == "3,4,1|2|3"
         assert lines[5] == "4,5,1|2|3"
+
+    def test_each_process_gets_its_own_knot(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run(disjoint_two_cycles_schedule()), str(path))
+        assert path.read_text().splitlines()[1:] \
+            == ["0,2,0|1", "1,,", "2,4,2|3", "3,,"]
 
     def test_absent_output_leaves_fields_empty(self, tmp_path):
         s = Schedule(2, [[], []])

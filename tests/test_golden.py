@@ -24,8 +24,9 @@ SWEEP = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
 SWEEP_H40 = ["sweep", "--n", "12", "--cycle-sizes", "3,6",
              "--edges-per-round", "1,3", "--horizon", "40", "--num-seeds", "3",
              "--out", "{out}/sweep_h40.csv"]
-# One backbone arc a round at n=100: knot detection dominates, and the
-# cells with k >= 55 never decide within the horizon.
+# One backbone arc a round at n=100, the full-horizon regime: the cells
+# with k >= 55 never decide, so they run all 6000 rounds, and the 14 cells
+# make only 24 knot searches.
 SWEEP_M1 = ["sweep", "--n", "100", "--cycle-sizes", "10:100:15",
             "--edges-per-round", "1", "--horizon", "6000", "--num-seeds", "2",
             "--base-seed", "42", "--out", "{out}/sweep_m1.csv"]
@@ -95,5 +96,15 @@ def test_worker_pool_sweep_matches_golden_bytes(tmp_path):
 
 def test_default_run_matches_pinned_hashes(tmp_path):
     assert main(["run", "--out", str(tmp_path / "run")]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DEFAULT_RUN} == DEFAULT_RUN
+
+
+def test_default_run_of_a_saved_schedule_matches_pinned_hashes(tmp_path):
+    """``knotid gen`` then ``knotid run FILE``: the default schedule read
+    back from its file gives the same bytes as the default run."""
+    schedule = str(tmp_path / "schedule.txt")
+    assert main(["gen", "--out", schedule]) == 0
+    assert main(["run", schedule, "--out", str(tmp_path / "run")]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in DEFAULT_RUN} == DEFAULT_RUN

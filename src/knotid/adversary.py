@@ -90,8 +90,12 @@ class Schedule:
         _check_n(self.n)
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
-        for j, state in enumerate(states, start=1):
-            _check_links(self.n, state, f"round {j}: ")
+        try:  # each distinct link once; a bad one is found round by round
+            _check_links(self.n, frozenset().union(*states), "")
+        except (ValueError, TypeError):
+            for j, state in enumerate(states, start=1):
+                _check_links(self.n, state, f"round {j}: ")
+            raise
         if any(ch.isspace() for ch in self.params):
             raise ValueError("params string must not contain whitespace")
 

@@ -12,9 +12,12 @@ Knot detection ignores stamps, and projecting a union of temporal edges onto
 static arcs gives the union of their projections, so all detection needs is
 ``known_arcs[p]``, a mask over dense arc ids. Ids go to ``(src, dst)`` pairs
 in first-seen order, so the mask is as wide as the schedule's distinct arcs,
-not n². A receipt is ``known_arcs[dst] |= pre_arcs[src] | bit(link)`` where
-``pre_arcs`` is the list of masks copied before the round's merges: ints are
-immutable, so that copy is the whole snapshot.
+not n². A receipt is ``known_arcs[dst] |= pre[src] | bit(link)``, where
+``pre`` maps each of the round's receivers to its mask before the round,
+kept at its first link. Only receivers' masks change during a round, so a
+sender absent from ``pre`` still holds its pre-round mask, and since ints
+are immutable, ``pre`` is the whole snapshot: a round costs O(links), not
+O(n).
 
 Knot detection runs only when a receiver's arc mask grew, and searches
 its whole graph: every node of a process's graph reaches it, so one
@@ -64,7 +67,6 @@ process and a reachability search per receipt; use it to test.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -213,7 +215,7 @@ def run(schedule, min_knot_size: int = 2,
     for round_index, state in enumerate(schedule.states, start=1):
         state = tuple(state)
         rounds.append(state)
-        pre_arcs = known_arcs[:]
+        pre: Dict[int, int] = {}  # receiver -> its mask before the round
         for link in state:
             src, dst = link
             bit = arc_bits.get(link)
@@ -222,11 +224,13 @@ def run(schedule, min_knot_size: int = 2,
                 in_arcs.setdefault(dst, []).append((bit, src))
                 into[dst] |= bit
                 out_of[src] |= bit
-            known_arcs[dst] |= pre_arcs[src] | bit
+            if dst not in pre:
+                pre[dst] = known_arcs[dst]
+            known_arcs[dst] |= pre.get(src, known_arcs[src]) | bit
 
-        for dst in {dst for _, dst in state}:
+        for dst, before in pre.items():
             arcs = known_arcs[dst]
-            if arcs == pre_arcs[dst]:
+            if arcs == before:
                 continue
             knots = knots_of.get(arcs)
             if knots is None:
@@ -348,13 +352,17 @@ def verify(t: Trace) -> Verdict:
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
               comment: Optional[str] = None) -> None:
     """UTF-8 CSV with LF line ends: an optional ``# comment`` line, then the
-    header and rows. A ``None`` field is written empty."""
+    header and rows. Each field is written as ``str(field)``, a ``None``
+    field empty, and nothing is quoted, so no field may hold a comma, a
+    quote or a line break: every field knotid writes is a number, empty,
+    ``true``/``false`` or ``|``-joined ids."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(["" if f is None else str(f) for f in row])
+                     + "\n")
 
 
 def write_trace_csv(t: Trace, path: str) -> None:

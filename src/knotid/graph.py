@@ -48,6 +48,7 @@ class Knot:
     """At least two processes forming a source SCC of some observation graph.
 
     Canonical form: members sorted ascending, so equality is set equality.
+    The hash of the members is computed once, since logs look knots up often.
     """
 
     members: tuple
@@ -57,6 +58,10 @@ class Knot:
         if len(members) < 2:
             raise ValueError("a knot has at least two members")
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_hash", hash(members))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, pid: ProcessId) -> bool:
         return pid in self.members

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -56,8 +57,16 @@ class TestSchedule:
         "link", [(1, 1), (-1, 0), (0, 5), (True, 2), (0.5, 1)],
         ids=["self-loop", "negative-id", "foreign-id", "bool-id", "float-id"])
     def test_foreign_process_rejected(self, link):
-        with pytest.raises(ValueError, match="round 2"):
-            Schedule(3, [[(0, 1)], [link]])
+        # links are checked once across rounds, and a bad one is then found
+        # round by round: the first bad round is named, not round 4
+        name = re.escape(f"{link[0]!r}->{link[1]!r}")
+        with pytest.raises(ValueError, match=f"^round 2: .*{name}"):
+            Schedule(3, [[(0, 1)], [link], [(1, 2)], [(2, 2), (0, 7)]])
+
+    @pytest.mark.parametrize("item", [5, (0, 1, 2)], ids=["int", "triple"])
+    def test_first_bad_round_wins_over_a_later_non_pair(self, item):
+        with pytest.raises(ValueError, match="^round 1: self-loop 2->2 "):
+            Schedule(3, [[(2, 2)], [item]])
 
     @pytest.mark.parametrize(
         "n", [2.5, True, MAX_PROCESSES + 1],

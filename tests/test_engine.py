@@ -45,6 +45,18 @@ class TestRun:
                    for m in t.round_metrics)
         assert longest_output_time(t) is None
 
+    @pytest.mark.parametrize("links", [((0, 1), (1, 0)), ((1, 0), (0, 1))],
+                             ids=["0-to-1-first", "1-to-0-first"])
+    def test_a_link_carries_its_senders_pre_round_graph(self, links):
+        # in round 1 each process hears the other's empty graph and its own
+        # in-link, so neither holds the cycle before round 2, whichever
+        # link the round lists first
+        s = SimpleNamespace(n=2, states=[links] * 2)
+        t = run(s)
+        knot = Knot((0, 1))
+        assert t.outputs == {0: (knot, 2), 1: (knot, 2)}
+        assert t == reference_run(s)
+
     def test_churn_scenario_observation_order(self, churn_schedule):
         t = checked_run(churn_schedule)
         small, big = Knot((1, 2, 3)), Knot((0, 1, 2, 3))

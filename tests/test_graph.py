@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +50,13 @@ class TestTypes:
         assert Knot((3, 1, 2)).members == (1, 2, 3)
         assert Knot((3, 1, 2)) == Knot((1, 2, 3))
         assert 2 in Knot((1, 2)) and len(Knot((1, 2))) == 2
+
+    def test_knot_hash_follows_its_members(self):
+        k = Knot((3, 1, 2))
+        assert hash(k) == hash(Knot((2, 3, 1))) == hash(Knot((1, 2, 3, 3)))
+        moved = replace(k, members=(5, 4))
+        assert moved == Knot((4, 5)) and hash(moved) == hash(Knot((4, 5)))
+        assert {Knot((1, 2, 3)): "found"}[k] == "found"
 
     def test_knot_rejects_singletons(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 MAX_PROCESSES = 10_000
@@ -106,11 +106,10 @@ class Schedule:
 
 def save_schedule(s: Schedule, path: str) -> None:
     """Write a schedule as a header line plus ``src dst state`` edge lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n={s.n} horizon={s.horizon} seed={s.seed} params={s.params}\n")
-        for index, state in enumerate(s.states, start=1):
-            for src, dst in sorted(state):
-                fh.write(f"{src} {dst} {index}\n")
+    write_lines(path, chain(
+        (f"n={s.n} horizon={s.horizon} seed={s.seed} params={s.params}",),
+        (f"{src} {dst} {index}" for index, state in enumerate(s.states, 1)
+         for src, dst in sorted(state))))
 
 
 # The one number grammar for user text: ASCII digits and an optional leading
@@ -147,6 +146,14 @@ def numbered_lines(path: str) -> Iterator[Tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             yield lineno, text
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by LF, in UTF-8 with no
+    newline translation; every file knotid writes is written here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def load_schedule(path: str) -> Schedule:

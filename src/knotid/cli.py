@@ -22,7 +22,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from random import Random
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
@@ -42,13 +42,14 @@ from .adversary import (
     numbered_lines,
     save_schedule,
     worst_case_schedule,
+    write_lines,
 )
 from .engine import (
+    csv_lines,
     fmt_knot,
     longest_output_time,
     run,
     verify,
-    write_csv,
     write_diagnostics_jsonl,
     write_round_metrics_csv,
     write_trace_csv,
@@ -302,8 +303,8 @@ def _sweep_rows(cfg: ExperimentConfig, cells: Sequence[CellResult],
 
 def write_sweep_csv(cfg: ExperimentConfig, cells: Sequence[CellResult],
                     means: Sequence[MeanRow], path: str) -> None:
-    write_csv(path, SWEEP_COLUMNS, _sweep_rows(cfg, cells, means),
-              comment=f"config: {cfg.canonical()}")
+    write_lines(path, chain((f"# config: {cfg.canonical()}",), csv_lines(
+        SWEEP_COLUMNS, _sweep_rows(cfg, cells, means))))
 
 
 # Generator flag -> its default, applied only when a schedule is generated.
@@ -392,9 +393,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         flag = _bool_str(verdict.globally_observable[knot])
         print(f"knot {fmt_knot(knot)}: globally observable {flag}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(verdict.to_jsonable(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_lines(args.json, [json.dumps(verdict.to_jsonable(), indent=2,
+                                           sort_keys=True)])
     return 0 if verdict.uniform else 1
 
 
@@ -406,7 +406,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if flag_values["workers"] is None:
         flag_values["workers"] = os.environ.get(WORKERS_ENV)
     cfg = config_from_sources(file_values, flag_values, file_lines)
-    open(cfg.out, "a", encoding="utf-8").close()  # fails before any cell
+    open(cfg.out, "ab").close()  # fails before any cell
     cells, means = run_sweep(cfg)
     write_sweep_csv(cfg, cells, means, cfg.out)
     violations = sum(1 for c in cells if not (c.agreement and c.termination))

@@ -71,9 +71,9 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
-from .adversary import bounded
+from .adversary import bounded, write_lines
 from .graph import Knot, TemporalEdge, knots_from_adjacency
 from .protocol import ProcessState, on_state, primary_tie_break
 
@@ -349,20 +349,14 @@ def verify(t: Trace) -> Verdict:
                    diagnostics=diagnostics)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
-              comment: Optional[str] = None) -> None:
-    """UTF-8 CSV with LF line ends: an optional ``# comment`` line, then the
-    header and rows. Each field is written as ``str(field)``, a ``None``
-    field empty, and nothing is quoted, so no field may hold a comma, a
-    quote or a line break: every field knotid writes is a number, empty,
-    ``true``/``false`` or ``|``-joined ids."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(["" if f is None else str(f) for f in row])
-                     + "\n")
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The header, then each row, as CSV lines. Each field is written as
+    ``str(field)``, a ``None`` field empty, and nothing is quoted, so no
+    field may hold a comma, a quote or a line break: every field knotid
+    writes is a number, empty, ``true``/``false`` or ``|``-joined ids."""
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(["" if f is None else str(f) for f in row])
 
 
 def write_trace_csv(t: Trace, path: str) -> None:
@@ -371,19 +365,17 @@ def write_trace_csv(t: Trace, path: str) -> None:
     entries = [(pid, t.outputs.get(pid)) for pid in range(t.n)]
     members = {knot: fmt_knot(knot) for knot in
                {entry[0] for _, entry in entries if entry is not None}}
-    write_csv(path, ("process", "output_round", "knot_members"),
-              ((pid, None, None) if entry is None
-               else (pid, entry[1], members[entry[0]])
-               for pid, entry in entries))
+    write_lines(path, csv_lines(("process", "output_round", "knot_members"),
+                                ((pid, None, None) if entry is None
+                                 else (pid, entry[1], members[entry[0]])
+                                 for pid, entry in entries)))
 
 
 def write_round_metrics_csv(t: Trace, path: str) -> None:
     """Per-round traffic: ``round,messages,payload_edges``."""
-    write_csv(path, RoundMetric._fields, t.round_metrics)
+    write_lines(path, csv_lines(RoundMetric._fields, t.round_metrics))
 
 
 def write_diagnostics_jsonl(verdict: Verdict, path: str) -> None:
     """One JSON line per diagnostic record."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in verdict.diagnostics:
-            fh.write(json.dumps(record) + "\n")
+    write_lines(path, map(json.dumps, verdict.diagnostics))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .adversary import bounded
 from .graph import Knot, ProcessId, reachability_knots
 
 
@@ -54,6 +55,7 @@ def on_state(p: ProcessState, incoming: Sequence, round_index: int,
     on each of its links. With no receipts the state is returned unchanged
     (the graph only grows on receipt, so there is nothing new to detect).
     """
+    bounded("min_knot_size", min_knot_size, 2)
     if not incoming:
         return p
     for payload, in_edge in incoming:

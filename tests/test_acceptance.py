@@ -26,6 +26,16 @@ from util import (checked_run, disjoint_two_cycles_schedule,
                   knot_churn_schedule, random_digraph)
 
 
+# The sweep grids of criteria 5 and 6, also checked cell by cell against a
+# closed form in test_oracle.py.
+CRITERION_5 = ExperimentConfig(n=50, cycle_sizes=(4, 12, 24, 48),
+                               edges_per_round=(5,), horizon=6000,
+                               num_seeds=10, base_seed=42)
+CRITERION_6 = ExperimentConfig(n=50, cycle_sizes=(12,),
+                               edges_per_round=(1, 5, 10), horizon=6000,
+                               num_seeds=10, base_seed=42)
+
+
 def _emit(capsys, number, status, description):
     with capsys.disabled():
         print(f"[criterion {number}] {status}: {description}")
@@ -108,10 +118,7 @@ def test_criterion_5_larger_knots_take_longer(capsys):
     desc = ("n=50, m=5: mean longest output time is non-decreasing over "
             "cycle sizes 4, 12, 24, 48")
     with criterion(capsys, 5, desc):
-        cfg = ExperimentConfig(n=50, cycle_sizes=(4, 12, 24, 48),
-                               edges_per_round=(5,), horizon=6000,
-                               num_seeds=10, base_seed=42)
-        _, means = run_sweep(cfg)
+        _, means = run_sweep(CRITERION_5)
         assert all(row.excluded == 0 for row in means)
         values = [row.mean for row in means]
         assert values == sorted(values), values
@@ -121,10 +128,7 @@ def test_criterion_6_more_edges_speed_up_detection(capsys):
     desc = ("n=50, cycle 12: mean longest output time strictly decreases "
             "over 1, 5, 10 edges per round")
     with criterion(capsys, 6, desc):
-        cfg = ExperimentConfig(n=50, cycle_sizes=(12,),
-                               edges_per_round=(1, 5, 10), horizon=6000,
-                               num_seeds=10, base_seed=42)
-        _, means = run_sweep(cfg)
+        _, means = run_sweep(CRITERION_6)
         assert all(row.excluded == 0 for row in means)
         values = [row.mean for row in means]
         assert all(a > b for a, b in zip(values, values[1:])), values

@@ -81,12 +81,16 @@ class TestSchedule:
             Schedule(2, [[(0, 1)]], params="two words")
 
     def test_save_load_round_trip(self, tmp_path):
-        backbone = gen_backbone(12, 4, 11)
-        schedule = gen_computation(backbone, 3, 40, 11)
+        generated = gen_computation(gen_backbone(12, 4, 11), 3, 40, 11)
+        # params is the one text of a schedule file that may be non-ASCII
+        non_ascii = Schedule(3, [[(0, 1)], [], [(1, 2), (2, 0)]],
+                             params="café→k=3", seed=5)
         path = tmp_path / "schedule.txt"
-        save_schedule(schedule, str(path))
-        loaded = load_schedule(str(path))
-        assert loaded == schedule
+        for schedule in (generated, non_ascii):
+            save_schedule(schedule, str(path))
+            assert load_schedule(str(path)) == schedule
+        assert path.read_bytes().splitlines(keepends=True)[0] == (
+            b"n=3 horizon=3 seed=5 params=caf\xc3\xa9\xe2\x86\x92k=3\n")
 
     def test_loaded_schedule_replays_identically(self, tmp_path):
         schedule = gen_computation(gen_backbone(10, 3, 5), 2, 60, 5)

@@ -607,6 +607,9 @@ class TestBounds:
          "min_knot_size must be at least 2, got 1"),
         (lambda: knotid.reference_run(Schedule(3, []), min_knot_size=1),
          "min_knot_size must be at least 2, got 1"),
+        (lambda: knotid.on_state(knotid.ProcessState(0), [], 1,
+                                 min_knot_size=1),
+         "min_knot_size must be at least 2, got 1"),
         (lambda: knotid.find_knots(frozenset(), min_size=1),
          "min_knot_size must be at least 2, got 1"),
         (lambda: knotid.reachability_knots(frozenset(), min_size=0),
@@ -618,7 +621,8 @@ class TestBounds:
     ], ids=["gen-backbone-n", "gen-backbone-cycle-size", "worst-case-n",
             "schedule-n-cap", "computation-rounds-edges",
             "gen-computation-horizon", "run-min-knot-size",
-            "reference-run-min-knot-size", "find-knots-min-size",
+            "reference-run-min-knot-size", "on-state-min-knot-size",
+            "find-knots-min-size",
             "reachability-knots-min-size", "config-base-seed",
             "config-workers"])
     def test_library_call_gives_the_one_message(self, call, message):

@@ -9,7 +9,16 @@ v's state that p has causally seen, so p holds the projected arc (u, v)
 exactly when its first stamp is at most ``vc[p][v]``. The oracle rebuilds
 each receiver's arc set from that rule alone and redoes the decisions with
 ``reachability_knots``.
+
+A backbone sweep cell has a closed form besides. The backbone's only cycle
+is its k-cycle and no arc enters it, so the cycle is the one knot any
+process's graph can hold, and it holds it once it holds the k cycle arcs
+``(i, i+1 mod k)``. ``backbone_cell`` therefore tracks only those arcs, one
+k-bit mask per process, and needs no knot search at all.
 """
+
+from itertools import islice
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +27,16 @@ from knotid import (
     Knot,
     Schedule,
     TemporalEdge,
+    computation_rounds,
     gen_backbone,
     gen_computation,
     reachability_knots,
     run,
     worst_case_schedule,
 )
+from knotid.cli import config_from_sources, run_sweep, write_sweep_csv
+from test_acceptance import CRITERION_5, CRITERION_6
+from test_golden import GOLDEN, SWEEP, SWEEP_H40, SWEEP_M1, SWEEP_MK3
 from util import checked_run, knot_churn_schedule, small_schedules
 
 
@@ -113,3 +126,95 @@ def test_relay_of_a_destroyed_knot_matches_oracle(detections):
     5, [[(1, 2)], [(2, 1)], [(3, 4)], [(4, 3)], [(1, 0), (3, 0)]]))
 def test_small_schedules_match_oracle(schedule):
     assert_matches_oracle(schedule)
+
+
+def backbone_cell(n, cycle_size, edges_per_round, horizon, min_knot_size,
+                  seed) -> tuple:
+    """A sweep cell's (longest output round, agreement, termination, knot
+    size) by the closed form: p decides at the first round by which it has
+    heard every cycle arc, and a cycle below ``min_knot_size`` is no knot,
+    so then nobody decides. Every decision is on the cycle, so agreement
+    always holds."""
+    rng = Random(seed)  # the sweep's seed split: backbone, then rounds
+    backbone = gen_backbone(n, cycle_size, rng.getrandbits(64))
+    k, arcs = cycle_size, backbone.edges
+    assert arcs[:k] == tuple((i, (i + 1) % k) for i in range(k))
+    # tree arcs leave the cycle and point to a newer node: none enters the
+    # cycle, and none closes another cycle
+    assert all(k <= v and u < v for u, v in arcs[k:])
+    if k < min_knot_size:
+        return None, True, False, None
+    bit = {arc: 1 << i for i, arc in enumerate(arcs[:k])}
+    every_arc = (1 << k) - 1
+    heard = [0] * n  # process -> mask of the cycle arcs it has heard
+    decided = set()
+    rounds = computation_rounds(backbone, edges_per_round, rng.getrandbits(64))
+    for r, state in enumerate(islice(rounds, horizon), start=1):
+        pre = {}  # receiver -> its mask before the round
+        for src, dst in state:
+            pre.setdefault(dst, heard[dst])
+            heard[dst] |= pre.get(src, heard[src]) | bit.get((src, dst), 0)
+        decided.update(p for p in pre if heard[p] == every_arc)
+        if len(decided) == n:
+            return r, True, True, k
+    return None, True, False, k if decided else None
+
+
+def check_sweep_csv(path) -> tuple:
+    """(cell rows read, a message per cell row unlike ``backbone_cell``) for
+    a sweep CSV, whose config line gives n, horizon and min_knot_size."""
+    with open(path, encoding="utf-8") as fh:
+        config = dict(item.split("=", 1)
+                      for item in fh.readline().split()[2:])
+        header = fh.readline().rstrip("\n").split(",")
+        rows = [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
+    n, horizon, min_knot_size = (int(config[key]) for key in
+                                 ("n", "horizon", "min_knot_size"))
+    cells = [row for row in rows if row["seed"]]  # a mean row has no seed
+    wrong = []
+    for row in cells:
+        want = backbone_cell(n, int(row["cycle_size"]),
+                             int(row["edges_per_round"]), horizon,
+                             min_knot_size, int(row["seed"]))
+        want = ["" if v is None else str(v).lower() for v in want]
+        got = [row[key] for key in ("longest_output_round", "agreement",
+                                    "termination", "knot_size")]
+        if got != want:
+            wrong.append(f"{path}: cell {row}: want {want}")
+    return len(cells), wrong
+
+
+def sweep_config(argv):
+    """The config of a ``knotid sweep`` argv of ``--flag value`` pairs."""
+    return config_from_sources({}, {flag[2:].replace("-", "_"): value
+                                    for flag, value
+                                    in zip(argv[1::2], argv[2::2])})
+
+
+# Every golden sweep grid, and the grids of criteria 5 and 6.
+SWEEP_GRIDS = {
+    "golden-sweep": sweep_config(SWEEP),
+    "golden-h40": sweep_config(SWEEP_H40),
+    "golden-m1": sweep_config(SWEEP_M1),
+    "golden-mk3": sweep_config(SWEEP_MK3),
+    "criterion-5": CRITERION_5,
+    "criterion-6": CRITERION_6,
+}
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
+def test_every_sweep_cell_matches_the_closed_form(tmp_path, grid):
+    cells, means = run_sweep(grid)
+    write_sweep_csv(grid, cells, means, str(tmp_path / "sweep.csv"))
+    assert check_sweep_csv(tmp_path / "sweep.csv") == (len(cells), [])
+
+
+def test_closed_form_check_names_a_wrong_row(tmp_path):
+    rows = (GOLDEN / "sweep_h40.csv").read_text(encoding="utf-8")
+    assert check_sweep_csv(GOLDEN / "sweep_h40.csv") == (12, [])
+    # cell k=6, m=3, seed 9 decides at round 40; say it never did
+    wrong = tmp_path / "sweep.csv"
+    wrong.write_text(rows.replace("6,3,9,40,,true,true,6,0",
+                                  "6,3,9,,,true,false,6,1"), encoding="utf-8")
+    count, messages = check_sweep_csv(wrong)
+    assert count == 12 and len(messages) == 1 and "'seed': '9'" in messages[0]

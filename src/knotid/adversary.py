@@ -38,21 +38,17 @@ MAX_HORIZON = 100_000
 
 def bounded(name: str, value: int, low: int,
             high: Optional[int] = None) -> None:
-    """ValueError unless ``low <= value`` and, if ``high`` is given,
-    ``value <= high``. This is the one statement of every bound on a count,
-    so a bound reads the same from a flag, a config line, a schedule header
-    and a library call; ``name`` may carry a ``path:line: `` prefix."""
+    """ValueError unless ``value`` is an int (a bool is not) with
+    ``low <= value`` and, if ``high`` is given, ``value <= high``. This is
+    the one statement of what a count is (a size, a seed, an insert
+    position or a ``TemporalEdge`` field), so it reads the same from a flag,
+    a config line, a schedule header and a library call; ``name`` may carry
+    a ``path:line: `` prefix."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
     if value < low or high is not None and value > high:
         span = f"at least {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {span}, got {value}")
-
-
-def _check_n(n, low: int = 0, where: str = "") -> None:
-    """ValueError, prefixed by ``where``, unless ``n`` is an int (a bool is
-    not) in low..MAX_PROCESSES."""
-    if type(n) is not int:
-        raise ValueError(f"{where}process count must be an int: {n!r}")
-    bounded(f"{where}n", n, low, MAX_PROCESSES)
 
 
 def _check_links(n: int, links, where: str) -> None:
@@ -78,7 +74,8 @@ class Schedule:
     implied by its position. A link must join two distinct int ids of
     0..n-1. Generated schedules are reproducible from (params, seed);
     hand-built or padded ones carry whatever provenance string they were
-    given.
+    given. The seed is an int of any sign and params a str without
+    whitespace, so that ``save_schedule`` writes a header the loader reads.
     """
 
     n: int
@@ -87,7 +84,7 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        bounded("n", self.n, 0, MAX_PROCESSES)
         states = tuple(frozenset(s) for s in self.states)
         object.__setattr__(self, "states", states)
         try:  # each distinct link once; a bad one is found round by round
@@ -96,6 +93,10 @@ class Schedule:
             for j, state in enumerate(states, start=1):
                 _check_links(self.n, state, f"round {j}: ")
             raise
+        if type(self.seed) is not int:  # of any sign, as a header's seed=
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.params, str):
+            raise ValueError(f"params must be a str, got {self.params!r}")
         if any(ch.isspace() for ch in self.params):
             raise ValueError("params string must not contain whitespace")
 
@@ -173,7 +174,7 @@ def load_schedule(path: str) -> Schedule:
         raise ValueError(f"{path}:1: header {header!r} is not 'n=<int> "
                          "horizon=<int> seed=<int> params=<text>'")
     n, horizon, seed = (int(g) for g in match.groups()[:3])
-    _check_n(n, 2, f"{path}:1: ")
+    bounded(f"{path}:1: n", n, 2, MAX_PROCESSES)
     bounded(f"{path}:1: horizon", horizon, 0, MAX_HORIZON)
     buckets: list = [set() for _ in range(horizon)]
     links: dict = {}  # "src dst" text -> its link; a bad one ends the load
@@ -232,7 +233,7 @@ class Backbone:
 def gen_backbone(n: int, cycle_size: int, rng_seed: int) -> Backbone:
     """Cycle over processes 0..cycle_size-1, remaining nodes attached one by
     one with a single outward edge from a uniformly chosen connected node."""
-    _check_n(n, 2)
+    bounded("n", n, 2, MAX_PROCESSES)
     bounded("cycle_size", cycle_size, 2, n)
     rng = random.Random(rng_seed)
     cycle = tuple(range(cycle_size))
@@ -258,7 +259,7 @@ def computation_rounds(backbone: Backbone, edges_per_round: int,
     Fisher-Yates shuffle of a fresh copy of the links picks them."""
     links = backbone.edges
     size, m = len(links), edges_per_round
-    _check_n(backbone.n, where="backbone: ")
+    bounded("backbone: n", backbone.n, 0, MAX_PROCESSES)
     bounded("edges_per_round", m, 1, size)
     _check_links(backbone.n, links, "backbone: ")
     bits = random.Random(rng_seed).getrandbits
@@ -311,7 +312,7 @@ def worst_case_schedule(n: int) -> Schedule:
     same chain again so that each remaining process learns the knot one
     round later, the last one exactly at round 2n-1.
     """
-    _check_n(n, 2)
+    bounded("n", n, 2, MAX_PROCESSES)
     states = ([{(i, (i + 1) % n)} for i in range(n)]
               + [{(j, j + 1)} for j in range(n - 1)])
     return Schedule(n=n, states=tuple(states), params=f"worst_case:n={n}",
@@ -330,8 +331,6 @@ def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
     """
     states = list(s.states)
     for pos in sorted(positions, reverse=True):  # keeps lower indices valid
-        if not 1 <= pos <= s.horizon + 1:
-            raise ValueError(
-                f"insert position {pos} outside 1..{s.horizon + 1}")
+        bounded("insert position", pos, 1, s.horizon + 1)
         states.insert(pos - 1, frozenset())
     return Schedule(n=s.n, states=tuple(states), params=s.params, seed=s.seed)

@@ -389,7 +389,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(f"process {pid}: primary {fmt_knot(entry[0])} "
                   f"at round {entry[1]}")
-    for knot in sorted(verdict.globally_observable, key=lambda k: k.members):
+    for knot in sorted(verdict.globally_observable):
         flag = _bool_str(verdict.globally_observable[knot])
         print(f"knot {fmt_knot(knot)}: globally observable {flag}")
     if args.json:

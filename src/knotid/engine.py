@@ -182,8 +182,7 @@ class Verdict:
             for pid, entry in sorted(self.per_process.items())}
         observability = [
             {"knot": list(k.members), "globally_observable": flag}
-            for k, flag in sorted(self.globally_observable.items(),
-                                  key=lambda item: item[0].members)]
+            for k, flag in sorted(self.globally_observable.items())]
         return {"uniform": self.uniform, "per_process": per_process,
                 "globally_observable": observability,
                 "diagnostics": self.diagnostics}
@@ -338,7 +337,7 @@ def verify(t: Trace) -> Verdict:
                              if r == out_round)
         if first_observed > 1:
             diagnostics.append(_record("primary_tie", pid, out_round, out_knot))
-    for out_knot in sorted(distinct, key=lambda k: k.members):
+    for out_knot in sorted(distinct):
         diagnostics.extend(_record("unobserved_knot", pid, knot=out_knot)
                            for pid in range(t.n) if out_knot not in seen[pid])
     diagnostics.extend(_record("undecided", pid) for pid in range(t.n)

@@ -37,18 +37,18 @@ class TemporalEdge:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"self-loop {self.src}->{self.dst} is not a valid link")
-        if self.src < 0 or self.dst < 0:
-            raise ValueError("process ids are non-negative integers")
-        if self.state < 0:
-            raise ValueError("state index is a non-negative integer")
+        bounded("src", self.src, 0)
+        bounded("dst", self.dst, 0)
+        bounded("state", self.state, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Knot:
     """At least two processes forming a source SCC of some observation graph.
 
-    Canonical form: members sorted ascending, so equality is set equality.
-    The hash of the members is computed once, since logs look knots up often.
+    Canonical form: members sorted ascending, so equality is set equality
+    and knots sort by member list. The hash of the members is computed
+    once, since logs look knots up often.
     """
 
     members: tuple
@@ -131,7 +131,7 @@ def knots_from_adjacency(seeds: Iterable[ProcessId],
                         break
                 if len(component) >= min_size and entered.isdisjoint(component):
                     knots.append(Knot(component))
-    return sorted(knots, key=lambda k: k.members)
+    return sorted(knots)
 
 
 def find_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list:
@@ -185,7 +185,7 @@ def reachability_knots(edges: Iterable[TemporalEdge], min_size: int = 2) -> list
         assigned.update(group)
         if len(group) >= min_size:
             grouped.append(Knot(group))
-    grouped.sort(key=lambda k: k.members)
+    grouped.sort()
     return grouped
 
 

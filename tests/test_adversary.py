@@ -72,7 +72,7 @@ class TestSchedule:
         "n", [2.5, True, MAX_PROCESSES + 1],
         ids=["float-n", "bool-n", "n-above-cap"])
     def test_bad_process_count_rejected(self, n):
-        with pytest.raises(ValueError, match="^process count must be an int: "
+        with pytest.raises(ValueError, match="^n must be an int, got "
                                              "|^n must be in 0..10000, got"):
             Schedule(n, [])
 
@@ -80,13 +80,25 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(2, [[(0, 1)]], params="two words")
 
+    @pytest.mark.parametrize("provenance, message", [
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"params": None}, "params must be a str, got None")],
+        ids=["bool-seed", "float-seed", "none-params"])
+    def test_provenance_a_header_cannot_hold_is_rejected(self, provenance,
+                                                          message):
+        # save_schedule would write a header that load_schedule rejects
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Schedule(3, [[(0, 1)]], **provenance)
+
     def test_save_load_round_trip(self, tmp_path):
         generated = gen_computation(gen_backbone(12, 4, 11), 3, 40, 11)
         # params is the one text of a schedule file that may be non-ASCII
         non_ascii = Schedule(3, [[(0, 1)], [], [(1, 2), (2, 0)]],
                              params="café→k=3", seed=5)
+        negative_seed = Schedule(3, [[(0, 1)]], seed=-5)
         path = tmp_path / "schedule.txt"
-        for schedule in (generated, non_ascii):
+        for schedule in (generated, negative_seed, non_ascii):
             save_schedule(schedule, str(path))
             assert load_schedule(str(path)) == schedule
         assert path.read_bytes().splitlines(keepends=True)[0] == (
@@ -191,8 +203,9 @@ class TestGenComputation:
     @pytest.mark.parametrize(
         "n, links, problem",
         [(6, ((2, 2),), "self-loop"), (6, ((0, 6),), "names a process"),
-         (6, ((0.5, 1),), "names a process"), (6.5, (), "process count"),
-         (True, (), "process count"),
+         (6, ((0.5, 1),), "names a process"),
+         (6.5, (), "n must be an int, got 6.5"),
+         (True, (), "n must be an int, got True"),
          (MAX_PROCESSES + 1, (), "n must be in 0..10000, got 10001")],
         ids=["self-loop", "foreign-id", "float-id", "float-n", "bool-n",
              "n-above-cap"])
@@ -229,7 +242,7 @@ class TestCaps:
                              ids=["gen_backbone", "worst_case_schedule"])
     def test_process_count_must_be_an_int(self, make):
         with pytest.raises(ValueError,
-                           match="^process count must be an int: 2.5$"):
+                           match="^n must be an int, got 2.5$"):
             make(2.5)
 
     @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 10**12])

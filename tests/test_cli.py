@@ -618,13 +618,33 @@ class TestBounds:
          "base_seed must be at least 0, got -1"),
         (lambda: ExperimentConfig(workers=257).validate(),
          "workers must be in 1..256, got 257"),
+        # a count is an int, whichever call takes it
+        (lambda: knotid.computation_rounds(
+            knotid.gen_backbone(*ONE_BACKBONE), 2.5, 0),
+         "edges_per_round must be an int, got 2.5"),
+        (lambda: knotid.run(Schedule(3, []), min_knot_size=2.5),
+         "min_knot_size must be an int, got 2.5"),
+        (lambda: ExperimentConfig(num_seeds=2.5).validate(),
+         "num_seeds must be an int, got 2.5"),
+        (lambda: knotid.gen_computation(
+            knotid.gen_backbone(*ONE_BACKBONE), 2, 2.5, 0),
+         "horizon must be an int, got 2.5"),
+        (lambda: knotid.gen_backbone(10, 3.0, 0),
+         "cycle_size must be an int, got 3.0"),
+        (lambda: knotid.insert_noncomm_states(worst_case_schedule(3), [True]),
+         "insert position must be an int, got True"),
+        (lambda: knotid.TemporalEdge(0.5, 1, 2),
+         "src must be an int, got 0.5"),
     ], ids=["gen-backbone-n", "gen-backbone-cycle-size", "worst-case-n",
             "schedule-n-cap", "computation-rounds-edges",
             "gen-computation-horizon", "run-min-knot-size",
             "reference-run-min-knot-size", "on-state-min-knot-size",
             "find-knots-min-size",
             "reachability-knots-min-size", "config-base-seed",
-            "config-workers"])
+            "config-workers", "computation-rounds-float-edges",
+            "run-float-min-knot-size", "config-float-num-seeds",
+            "gen-computation-float-horizon", "gen-backbone-float-cycle-size",
+            "insert-bool-position", "temporal-edge-float-src"])
     def test_library_call_gives_the_one_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()

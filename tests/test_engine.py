@@ -426,6 +426,13 @@ class TestRoundMetrics:
         assert [m.payload_edges for m in metrics] == [0, 1]
         assert peak < 2**20  # no per-node table of field units
 
+    def test_a_runs_metrics_read_as_the_references_list(self, churn_schedule):
+        # run's metrics are computed on first read; they still print as a
+        # list, and they equal no value that is not a sequence
+        lazy = run(churn_schedule).round_metrics
+        assert lazy != None  # noqa: E711 -- the NotImplemented branch
+        assert repr(lazy) == repr(reference_run(churn_schedule).round_metrics)
+
 
 class TestVerify:
     def test_uniform_run_passes(self):

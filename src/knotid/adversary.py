@@ -52,14 +52,17 @@ def bounded(name: str, value: int, low: int,
 
 
 def _check_links(n: int, links, where: str) -> None:
-    """ValueError, prefixed by ``where``, for a self-loop or a link that does
-    not join two int ids of 0..n-1."""
-    for src, dst in links:
-        if src == dst:
+    """ValueError, prefixed by ``where``, for a link that is not a
+    ``(src, dst)`` tuple of two int ids of 0..n-1, or is a self-loop."""
+    for link in links:
+        if not (isinstance(link, tuple) and len(link) == 2):
+            raise ValueError(f"{where}link {link!r} is not a (src, dst) pair")
+        src, dst = link
+        ints = type(src) is int and type(dst) is int
+        if ints and src == dst:
             raise ValueError(f"{where}self-loop {src}->{dst} is not a valid "
                              "link")
-        if not (type(src) is int and type(dst) is int
-                and 0 <= src < n and 0 <= dst < n):
+        if not (ints and 0 <= src < n and 0 <= dst < n):
             raise ValueError(
                 f"{where}link {src!r}->{dst!r} names a process other than "
                 f"the ints 0..{n - 1}")
@@ -71,11 +74,11 @@ class Schedule:
 
     ``states[j]`` is the frozenset of ``(src, dst)`` links present in round
     j+1; each link is the temporal edge ``(src, dst, j+1)``, its stamp
-    implied by its position. A link must join two distinct int ids of
-    0..n-1. Generated schedules are reproducible from (params, seed);
-    hand-built or padded ones carry whatever provenance string they were
-    given. The seed is an int of any sign and params a str without
-    whitespace, so that ``save_schedule`` writes a header the loader reads.
+    implied by its position. A link must be a ``(src, dst)`` tuple of two
+    distinct int ids of 0..n-1. Generated schedules are reproducible from
+    (params, seed); hand-built or padded ones carry whatever provenance
+    string they were given. The seed is an int of any sign and params a str
+    without whitespace, so that the header ``save_schedule`` writes loads.
     """
 
     n: int
@@ -89,10 +92,9 @@ class Schedule:
         object.__setattr__(self, "states", states)
         try:  # each distinct link once; a bad one is found round by round
             _check_links(self.n, frozenset().union(*states), "")
-        except (ValueError, TypeError):
+        except ValueError:
             for j, state in enumerate(states, start=1):
                 _check_links(self.n, state, f"round {j}: ")
-            raise
         if type(self.seed) is not int:  # of any sign, as a header's seed=
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if not isinstance(self.params, str):
@@ -329,8 +331,10 @@ def insert_noncomm_states(s: Schedule, positions: Iterable[int]) -> Schedule:
     nothing to re-stamp, which preserves every causality relation of the
     original schedule.
     """
+    positions = list(positions)
+    for pos in positions:  # each one before sorting, which needs ints
+        bounded("insert position", pos, 1, s.horizon + 1)
     states = list(s.states)
     for pos in sorted(positions, reverse=True):  # keeps lower indices valid
-        bounded("insert position", pos, 1, s.horizon + 1)
         states.insert(pos - 1, frozenset())
     return Schedule(n=s.n, states=tuple(states), params=s.params, seed=s.seed)

@@ -34,13 +34,13 @@ mask and the core: a sink that hears one sender knowing the rest of its
 graph finds its core stored as that sender's mask.
 
 The loop makes one pass over ``schedule.states``, so any iterable of rounds
-will do, and the ``Trace`` keeps each round it executed as a tuple of
+will do, and ``Trace.rounds`` keeps each round it executed as a tuple of
 links. ``stop_when_decided=True`` ends it after the round in which the last
 process decides: outputs are final, so it skips only the later rounds'
 metrics and log entries, and ``Trace.horizon`` counts the rounds executed.
 
-Round metrics come from a separate pass, ``round_metrics``, run over the
-kept rounds only when ``Trace.round_metrics`` is first read, so a sweep,
+Round metrics come from a separate pass, ``round_metrics``, over those
+rounds, run only when ``Trace.round_metrics`` is first read, so a sweep,
 which reads only outputs, never pays for it. A message's payload is the
 number of temporal edges its sender knew before the round. An edge
 ``(u, v, t)`` first reaches v itself, in round t, with every other edge
@@ -59,10 +59,10 @@ and more in a sparse run such as the 2n-1 round worst case.
 ``reference_run`` is the same run by the plain per-process state machine:
 each round it hands every receiver its ``(pre-round lg, TemporalEdge)``
 receipts through ``protocol.on_state``, whose knots come from
-``reachability_knots``, not the loop's Tarjan. It returns a ``Trace`` built
-the same way, so ``run(s) == reference_run(s)`` checks outputs, logs and
-every round's metrics at once. It keeps a frozenset of temporal edges per
-process and a reachability search per receipt; use it to test.
+``reachability_knots``, not the loop's Tarjan. Its ``Trace`` carries its
+own counts from those graphs, so ``run(s) == reference_run(s)`` checks
+outputs, logs and the packed pass at once. It keeps a frozenset of temporal
+edges per process and a reachability search per receipt; use it to test.
 """
 
 from __future__ import annotations
@@ -106,51 +106,34 @@ def round_metrics(n: int, rounds: Sequence) -> List[RoundMetric]:
     return metrics
 
 
-class LazyRoundMetrics(Sequence):
-    """``round_metrics`` of the rounds a run executed, computed on first
-    read and then kept. It equals any sequence of the same metrics."""
-
-    def __init__(self, n: int, rounds: List[tuple]) -> None:
-        self.n = n
-        self.rounds = rounds
-
-    @cached_property
-    def _metrics(self) -> List[RoundMetric]:
-        return round_metrics(self.n, self.rounds)
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    def __getitem__(self, index):
-        return self._metrics[index]
-
-    def __iter__(self):
-        return iter(self._metrics)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._metrics == list(other)
-
-    def __repr__(self) -> str:
-        return repr(self._metrics)
-
-
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """Everything observable about one run.
 
     Outputs and observation logs are keyed by process id; ``outputs[p]`` is
-    (knot, round) or None when p never decided. ``horizon`` counts the rounds
-    executed, one ``round_metrics`` entry each; ``run`` fills that field
-    with a ``LazyRoundMetrics``, which computes them when first read.
+    (knot, round) or None when p never decided. ``rounds`` holds the links
+    of each round executed; ``horizon`` counts them and ``round_metrics``,
+    computed on first read, gives their metrics. Traces compare by n,
+    outputs, logs and round metrics.
     """
 
     n: int
-    horizon: int
     outputs: dict
     observation_logs: dict
-    round_metrics: Sequence
+    rounds: List[tuple] = field(repr=False)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.rounds)
+
+    @cached_property
+    def round_metrics(self) -> List[RoundMetric]:
+        return round_metrics(self.n, self.rounds)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Trace) and all(
+            getattr(self, name) == getattr(other, name) for name in
+            ("n", "outputs", "observation_logs", "round_metrics"))
 
 
 @dataclass
@@ -193,10 +176,11 @@ def run(schedule, min_knot_size: int = 2,
     """Execute a schedule against one process state machine per process.
 
     ``schedule`` needs only ``n`` and ``states``, an iterable of rounds read
-    once. ``stop_when_decided`` ends the run after the round in which every
-    process has decided, skipping the later rounds' metrics and log entries;
-    a run in which some process never decides runs every round. The knot
-    memo holds each searched arc set under its mask and its core.
+    once and kept in ``Trace.rounds``. ``stop_when_decided`` ends the run
+    after the round in which every process has decided, skipping the later
+    rounds' metrics and log entries; a run in which some process never
+    decides runs every round. The knot memo holds each searched arc set
+    under its mask and its core.
     """
     bounded("min_knot_size", min_knot_size, 2)
     n = schedule.n
@@ -257,11 +241,10 @@ def run(schedule, min_knot_size: int = 2,
 
     return Trace(
         n=n,
-        horizon=len(rounds),
         outputs=dict(enumerate(outputs)),
         observation_logs={pid: tuple(log.items())
                           for pid, log in enumerate(logs)},
-        round_metrics=LazyRoundMetrics(n, rounds),
+        rounds=rounds,
     )
 
 
@@ -274,8 +257,9 @@ def reference_run(schedule, min_knot_size: int = 2) -> Trace:
     """
     bounded("min_knot_size", min_knot_size, 2)
     procs = [ProcessState(pid) for pid in range(schedule.n)]
+    rounds = [tuple(state) for state in schedule.states]
     metrics: List[RoundMetric] = []
-    for round_index, state in enumerate(schedule.states, start=1):
+    for round_index, state in enumerate(rounds, start=1):
         pre = [p.lg for p in procs]
         incoming: Dict[int, list] = {}
         for src, dst in state:
@@ -286,11 +270,11 @@ def reference_run(schedule, min_knot_size: int = 2) -> Trace:
                                   min_knot_size)
         metrics.append(RoundMetric(round_index, len(state),
                                    sum(len(pre[src]) for src, _ in state)))
-    return Trace(n=schedule.n, horizon=len(metrics),
-                 outputs={p.self_id: p.output for p in procs},
-                 observation_logs={p.self_id: p.observation_log
-                                   for p in procs},
-                 round_metrics=metrics)
+    trace = Trace(n=schedule.n, outputs={p.self_id: p.output for p in procs},
+                  observation_logs={p.self_id: p.observation_log
+                                    for p in procs}, rounds=rounds)
+    trace.round_metrics = metrics  # never the packed pass it checks
+    return trace
 
 
 def longest_output_time(t: Trace) -> Optional[int]:

@@ -35,11 +35,11 @@ class TemporalEdge:
     state: int
 
     def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"self-loop {self.src}->{self.dst} is not a valid link")
         bounded("src", self.src, 0)
         bounded("dst", self.dst, 0)
         bounded("state", self.state, 0)
+        if self.src == self.dst:
+            raise ValueError(f"self-loop {self.src}->{self.dst} is not a valid link")
 
 
 @dataclass(frozen=True, order=True)

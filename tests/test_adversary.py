@@ -53,14 +53,25 @@ class TestSchedule:
         assert path.read_text().splitlines()[1:] \
             == ["0 1 1", "1 2 3", "2 0 3"]
 
-    @pytest.mark.parametrize(
-        "link", [(1, 1), (-1, 0), (0, 5), (True, 2), (0.5, 1)],
-        ids=["self-loop", "negative-id", "foreign-id", "bool-id", "float-id"])
-    def test_foreign_process_rejected(self, link):
+    @pytest.mark.parametrize("link, problem", [
+        ((1, 1), "self-loop 1->1 is not a valid link"),
+        ((-1, 0), "link -1->0 names a process"),
+        ((0, 5), "link 0->5 names a process"),
+        ((True, 2), "link True->2 names a process"),
+        ((0.5, 1), "link 0.5->1 names a process"),
+        # ids equal to their partner but not ints are no self-loop
+        ((True, 1), "link True->1 names a process"),
+        ((1.0, 1), "link 1.0->1 names a process"),
+        ((0, 1, 2), "link (0, 1, 2) is not a (src, dst) pair"),
+        (0, "link 0 is not a (src, dst) pair"),
+        ("01", "link '01' is not a (src, dst) pair"),
+    ], ids=["self-loop", "negative-id", "foreign-id", "bool-id", "float-id",
+            "bool-equal-id", "float-equal-id", "triple", "int", "str"])
+    def test_foreign_process_rejected(self, link, problem):
         # links are checked once across rounds, and a bad one is then found
         # round by round: the first bad round is named, not round 4
-        name = re.escape(f"{link[0]!r}->{link[1]!r}")
-        with pytest.raises(ValueError, match=f"^round 2: .*{name}"):
+        with pytest.raises(ValueError,
+                           match=f"^round 2: {re.escape(problem)}"):
             Schedule(3, [[(0, 1)], [link], [(1, 2)], [(2, 2), (0, 7)]])
 
     @pytest.mark.parametrize("item", [5, (0, 1, 2)], ids=["int", "triple"])

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import knotid
+from knotid import engine
 from knotid import Schedule, load_schedule, save_schedule, worst_case_schedule
 from knotid.cli import (
     ExperimentConfig,
@@ -302,6 +303,42 @@ class TestVerifyCmd:
         main(["verify", str(plain), "--json", str(out_a)])
         main(["verify", str(padded), "--json", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestPayloadPass:
+    """Only ``knotid run``'s rounds CSV reads a trace's round metrics, so
+    sweeps and ``verify`` never run the payload pass."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def refuse(n, rounds):
+            raise AssertionError("the payload pass ran")
+        monkeypatch.setattr(engine, "round_metrics", refuse)
+
+    def test_a_sweep_never_runs_it(self, no_pass):
+        cells, means = run_sweep(ExperimentConfig(
+            n=10, cycle_sizes=(3, 4), edges_per_round=(1, 2), horizon=150,
+            num_seeds=2, base_seed=12))
+        assert len(cells) == 8 and len(means) == 4
+
+    def test_verify_never_runs_it(self, no_pass, tmp_path):
+        path = tmp_path / "wc.txt"
+        save_schedule(worst_case_schedule(4), str(path))
+        assert main(["verify", str(path), "--json",
+                     str(tmp_path / "report.json")]) == 0
+
+    def test_run_runs_it_once(self, tmp_path, monkeypatch):
+        calls = []
+        count = engine.round_metrics
+
+        def counted(n, rounds):
+            calls.append(len(rounds))
+            return count(n, rounds)
+        monkeypatch.setattr(engine, "round_metrics", counted)
+        path = tmp_path / "wc.txt"
+        save_schedule(worst_case_schedule(4), str(path))
+        assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert calls == [7]
 
 
 class TestSweepCmd:
@@ -635,6 +672,14 @@ class TestBounds:
          "insert position must be an int, got True"),
         (lambda: knotid.TemporalEdge(0.5, 1, 2),
          "src must be an int, got 0.5"),
+        (lambda: knotid.TemporalEdge(True, 1, 0),
+         "src must be an int, got True"),
+        (lambda: knotid.insert_noncomm_states(worst_case_schedule(3),
+                                              [1, None]),
+         "insert position must be an int, got None"),
+        (lambda: knotid.insert_noncomm_states(worst_case_schedule(3),
+                                              [1, "a"]),
+         "insert position must be an int, got 'a'"),
     ], ids=["gen-backbone-n", "gen-backbone-cycle-size", "worst-case-n",
             "schedule-n-cap", "computation-rounds-edges",
             "gen-computation-horizon", "run-min-knot-size",
@@ -644,7 +689,9 @@ class TestBounds:
             "config-workers", "computation-rounds-float-edges",
             "run-float-min-knot-size", "config-float-num-seeds",
             "gen-computation-float-horizon", "gen-backbone-float-cycle-size",
-            "insert-bool-position", "temporal-edge-float-src"])
+            "insert-bool-position", "temporal-edge-float-src",
+            "temporal-edge-bool-self-loop", "insert-none-position",
+            "insert-str-position"])
     def test_library_call_gives_the_one_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()

@@ -36,6 +36,11 @@ import util
 from util import checked_run, disjoint_two_cycles_schedule, small_schedules
 
 
+def with_metrics(t, metrics):
+    t.round_metrics = metrics
+    return t
+
+
 class TestRun:
     def test_all_empty_schedule(self):
         s = Schedule(3, [[], [], []])
@@ -127,7 +132,7 @@ class TestRun:
          "logs diverged"),
         (lambda t: replace(t, outputs={**t.outputs, 0: (Knot((0, 1)), 1)}),
          "outputs diverged"),
-        (lambda t: replace(t, round_metrics=[
+        (lambda t: with_metrics(t, [
             *t.round_metrics[:-1],
             t.round_metrics[-1]._replace(payload_edges=-1)]),
          "round metrics diverged"),
@@ -139,6 +144,19 @@ class TestRun:
                             lambda s, **kw: corrupt(run(s, **kw)))
         with pytest.raises(AssertionError, match=message):
             checked_run(churn_schedule)
+
+    def test_a_wrong_packed_pass_fails_the_reference_check(self,
+                                                           monkeypatch):
+        # the reference counts its payloads itself, so a packed pass that
+        # miscounts them makes the two traces differ
+        right = engine.round_metrics
+        monkeypatch.setattr(engine, "round_metrics", lambda n, rounds: [
+            m._replace(payload_edges=m.payload_edges + 1)
+            for m in right(n, rounds)])
+        s = worst_case_schedule(5)
+        assert run(s) != reference_run(s)
+        with pytest.raises(AssertionError, match="round metrics diverged"):
+            checked_run(s)
 
     def test_fast_and_reference_paths_agree_on_random_schedules(self):
         for seed in range(12):
@@ -427,11 +445,12 @@ class TestRoundMetrics:
         assert peak < 2**20  # no per-node table of field units
 
     def test_a_runs_metrics_read_as_the_references_list(self, churn_schedule):
-        # run's metrics are computed on first read; they still print as a
-        # list, and they equal no value that is not a sequence
-        lazy = run(churn_schedule).round_metrics
-        assert lazy != None  # noqa: E711 -- the NotImplemented branch
-        assert repr(lazy) == repr(reference_run(churn_schedule).round_metrics)
+        # run's metrics are computed on first read and then kept
+        t = run(churn_schedule)
+        metrics = t.round_metrics
+        assert t.round_metrics is metrics
+        assert repr(metrics) \
+            == repr(reference_run(churn_schedule).round_metrics)
 
 
 class TestVerify:
